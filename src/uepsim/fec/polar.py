@@ -10,10 +10,15 @@ Conventions (fixed by the matrix oracle in the tests):
     ascending index order; frozen positions carry 0.
 
 Decoding is successive-cancellation list decoding with min-sum branch
-combining and the standard sign-mismatch penalty path metric. List
-candidates are disambiguated by CRC when the code carries one (CA-SCL).
+combining and the standard sign-mismatch penalty path metric; all-frozen
+(rate-0) subtrees add their penalty in one step instead of leaf by leaf.
+List candidates are disambiguated by CRC when the code carries one (CA-SCL).
 The decoder is batched: one call decodes many received words at once,
 which is what makes the Monte Carlo characterization runs affordable.
+Path lineage is kept as flat integer parent vectors, one per fork, over
+the row-major (word, path) index, so realigning tree state after forks is
+a chain of plain gathers. Every decode call owns its state, so threads may
+decode on one spec at the same time.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ class PolarCodeSpec:
     crc_len: int = 0
     crc_poly: int = DEFAULT_CRC_POLY
     info_positions: np.ndarray = field(init=False)
+    is_frozen: np.ndarray = field(init=False)  # (N,) bool mask of the frozen set
 
     def __post_init__(self):
         if len(self.frozen_set) != self.n_total - self.k_info:
@@ -51,8 +57,9 @@ class PolarCodeSpec:
             raise ValueError("crc_len must be smaller than k_info")
         info = sorted(set(range(self.n_total)) - set(int(i) for i in self.frozen_set))
         self.info_positions = np.asarray(info, dtype=np.int64)
+        self.is_frozen = np.ones(self.n_total, dtype=bool)
+        self.is_frozen[self.info_positions] = False
         self._crc_matrix = crcmod.remainder_matrix(self.payload_len, self.crc_len, self.crc_poly)
-        self._decoders = {}
 
     @property
     def payload_len(self) -> int:
@@ -159,22 +166,24 @@ def _f_minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _ListDecoder:
-    """Batched successive-cancellation list decoder for one (spec, L) pair.
+    """Batched successive-cancellation list decoder for one decode call.
 
-    Per-path tree state is never physically permuted at a fork; forks are
-    appended to a genealogy log and arrays are realigned lazily when a
-    recursion frame touches them again. That keeps the copy volume per
-    decode at O(N log N) instead of O(N K).
+    Per-path tree state is never physically permuted at a fork. Each fork
+    appends one flat ``intp`` parent vector to the lineage log: entry
+    ``b * l_new + j`` holds ``b * l_old + p``, the row-major index of the
+    parent of path ``j`` of row ``b`` among the paths before the fork. A
+    recursion frame that touches an array again composes the vectors since
+    the array's fork epoch with plain integer gathers and realigns the
+    array with one row gather on its ``(B * L, w)`` view. That keeps the
+    copy volume per decode at O(N log N) instead of O(N K).
+
+    All state belongs to one call of ``decode``; build a fresh decoder per
+    call, so that threads sharing a spec never share a decoder.
     """
 
     def __init__(self, spec: PolarCodeSpec, list_size: int):
-        if list_size < 1:
-            raise ValueError("list size must be >= 1")
         self.spec = spec
         self.L = int(list_size)
-        self.is_frozen = np.zeros(spec.n_total, dtype=bool)
-        if spec.frozen_set:
-            self.is_frozen[np.asarray(sorted(spec.frozen_set))] = True
 
     # -- lazy fork alignment ------------------------------------------------
 
@@ -183,13 +192,21 @@ class _ListDecoder:
             return arr
         cur = self._par[-1]
         for e in range(len(self._par) - 2, epoch - 1, -1):
-            cur = np.take_along_axis(self._par[e], cur, axis=1)
-        return np.take_along_axis(arr, cur[:, :, None], axis=1)
+            cur = self._par[e][cur]
+        batch, paths, w = arr.shape
+        return arr.reshape(batch * paths, w)[cur].reshape(batch, -1, w)
 
     # -- tree recursion -----------------------------------------------------
 
     def _subtree(self, llr: np.ndarray) -> np.ndarray:
         w = llr.shape[2]
+        if self.spec.is_frozen[self._leaf_idx : self._leaf_idx + w].all():
+            # rate-0 node: every bit is 0, and the penalties its leaves would
+            # add sum to the negative parts of its LLRs (equal in real
+            # arithmetic, not always to the last ulp)
+            self._leaf_idx += w
+            self._pm = self._pm + np.where(llr < 0, -llr, 0.0).sum(axis=2)
+            return np.zeros(llr.shape, dtype=np.uint8)
         if w == 1:
             return self._leaf(llr[:, :, 0])
         half = w // 2
@@ -203,38 +220,33 @@ class _ListDecoder:
         return np.concatenate([beta_l ^ beta_r, beta_r], axis=2)
 
     def _leaf(self, lam: np.ndarray) -> np.ndarray:
-        i = self._leaf_idx
+        """Fork every path on information bit ``self._leaf_idx``."""
         self._leaf_idx += 1
-        if self.is_frozen[i]:
-            self._pm = self._pm + np.where(lam < 0, -lam, 0.0)
-            return np.zeros(lam.shape + (1,), dtype=np.uint8)
         batch, cur_l = lam.shape
         pm2 = np.concatenate(
             [self._pm + np.maximum(-lam, 0.0), self._pm + np.maximum(lam, 0.0)], axis=1
         )
         if 2 * cur_l <= self.L:
-            par = np.broadcast_to(np.tile(np.arange(cur_l), 2), (batch, 2 * cur_l))
+            par = np.tile(np.arange(cur_l), 2)
             bits = np.broadcast_to(
                 np.repeat(np.array([0, 1], dtype=np.uint8), cur_l), (batch, 2 * cur_l)
             )
             self._pm = pm2
         else:
             idx = np.argsort(pm2, axis=1, kind="stable")[:, : self.L]
-            self._pm = np.take_along_axis(pm2, idx, axis=1)
+            self._pm = pm2.ravel()[idx + self._rows * (2 * cur_l)]
             par = idx % cur_l
             bits = (idx >= cur_l).astype(np.uint8)
-        self._par.append(np.ascontiguousarray(par))
+        self._par.append((par + self._rows * cur_l).ravel())
         self._bits.append(np.ascontiguousarray(bits))
         return self._bits[-1][:, :, None]
 
     # -- public entry ---------------------------------------------------------
 
     def decode(self, llrs: np.ndarray):
-        """Decode (B, N) channel LLRs.
-
-        Returns (payloads (B, payload_len), crc_pass (B,), info_bits (B, K)).
-        """
+        """Decode (B, N) channel LLRs; returns (payloads (B, payload_len), crc_pass (B,))."""
         batch = llrs.shape[0]
+        self._rows = np.arange(batch)[:, None]
         self._pm = np.zeros((batch, 1), dtype=np.float64)
         self._par = []
         self._bits = []
@@ -244,10 +256,10 @@ class _ListDecoder:
         n_forks = len(self._bits)
         final_l = self._pm.shape[1]
         cands = np.empty((batch, final_l, n_forks), dtype=np.uint8)
-        cur = np.broadcast_to(np.arange(final_l), (batch, final_l))
+        cur = np.arange(batch * final_l)
         for e in range(n_forks - 1, -1, -1):
-            cands[:, :, e] = np.take_along_axis(self._bits[e], cur, axis=1)
-            cur = np.take_along_axis(self._par[e], cur, axis=1)
+            cands[:, :, e] = self._bits[e].ravel()[cur].reshape(batch, final_l)
+            cur = self._par[e][cur]
 
         spec = self.spec
         if spec.crc_len > 0:
@@ -261,19 +273,8 @@ class _ListDecoder:
         else:
             chosen = np.argmin(self._pm, axis=1)
             crc_pass = np.ones(batch, dtype=bool)
-        rows = np.arange(batch)
-        info_bits = cands[rows, chosen, :]
-        payloads = info_bits[:, : spec.payload_len]
-        self._pm = self._par = self._bits = None
-        return payloads, crc_pass, info_bits
-
-
-def _decoder_for(spec: PolarCodeSpec, list_size: int) -> _ListDecoder:
-    dec = spec._decoders.get(list_size)
-    if dec is None:
-        dec = _ListDecoder(spec, list_size)
-        spec._decoders[list_size] = dec
-    return dec
+        payloads = cands[np.arange(batch), chosen, : spec.payload_len]
+        return payloads, crc_pass
 
 
 _MAX_DECODE_ROWS = 512  # keeps peak tree-state memory bounded
@@ -286,12 +287,13 @@ def polar_decode_cascl_batch(
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[-1] != spec.n_total:
         raise ValueError(f"LLR length {llrs.shape[-1]} != N {spec.n_total}")
-    dec = _decoder_for(spec, list_size)
+    if list_size < 1:
+        raise ValueError("list size must be >= 1")
     payloads = np.empty((llrs.shape[0], spec.payload_len), dtype=np.uint8)
     crc_pass = np.empty(llrs.shape[0], dtype=bool)
     for lo in range(0, llrs.shape[0], _MAX_DECODE_ROWS):
         hi = min(lo + _MAX_DECODE_ROWS, llrs.shape[0])
-        payloads[lo:hi], crc_pass[lo:hi], _ = dec.decode(llrs[lo:hi])
+        payloads[lo:hi], crc_pass[lo:hi] = _ListDecoder(spec, list_size).decode(llrs[lo:hi])
     return payloads, crc_pass
 
 
