@@ -10,9 +10,8 @@ Conventions (fixed by the matrix oracle in the tests):
     ascending index order; frozen positions carry 0.
 
 Decoding is successive-cancellation list decoding with min-sum branch
-combining and the standard sign-mismatch penalty path metric; all-frozen
-(rate-0) subtrees add their penalty in one step instead of leaf by leaf.
-List candidates are disambiguated by CRC when the code carries one (CA-SCL).
+combining and the standard sign-mismatch penalty path metric. List
+candidates are disambiguated by CRC when the code carries one (CA-SCL).
 The decoder is batched: one call decodes many received words at once,
 which is what makes the Monte Carlo characterization runs affordable.
 Path lineage is kept as flat integer parent vectors, one per fork, over
@@ -200,13 +199,6 @@ class _ListDecoder:
 
     def _subtree(self, llr: np.ndarray) -> np.ndarray:
         w = llr.shape[2]
-        if self.spec.is_frozen[self._leaf_idx : self._leaf_idx + w].all():
-            # rate-0 node: every bit is 0, and the penalties its leaves would
-            # add sum to the negative parts of its LLRs (equal in real
-            # arithmetic, not always to the last ulp)
-            self._leaf_idx += w
-            self._pm = self._pm + np.where(llr < 0, -llr, 0.0).sum(axis=2)
-            return np.zeros(llr.shape, dtype=np.uint8)
         if w == 1:
             return self._leaf(llr[:, :, 0])
         half = w // 2
@@ -220,8 +212,11 @@ class _ListDecoder:
         return np.concatenate([beta_l ^ beta_r, beta_r], axis=2)
 
     def _leaf(self, lam: np.ndarray) -> np.ndarray:
-        """Fork every path on information bit ``self._leaf_idx``."""
+        i = self._leaf_idx
         self._leaf_idx += 1
+        if self.spec.is_frozen[i]:
+            self._pm = self._pm + np.where(lam < 0, -lam, 0.0)
+            return np.zeros(lam.shape + (1,), dtype=np.uint8)
         batch, cur_l = lam.shape
         pm2 = np.concatenate(
             [self._pm + np.maximum(-lam, 0.0), self._pm + np.maximum(lam, 0.0)], axis=1

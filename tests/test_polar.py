@@ -254,6 +254,9 @@ def reference_scl(spec, llr, list_size):
     return blocks[best, : spec.payload_len], bool(ok.any()) or spec.crc_len == 0
 
 
+DECIMAL_LLRS = (-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([16, 32]),
@@ -265,20 +268,38 @@ def test_batched_decoder_matches_eager_reference(n, lst, crc_len, data):
     # a small k leaves the list still filling (cur_l < L) at the last leaf
     k = data.draw(st.integers(crc_len + 1, n - 1), label="k")
     spec = fec.construct_polar_code(n, k, 2.0, crc_len, crc_poly=0x3)
-    # half-precision values and small integers make exact path-metric ties common
-    llr_value = st.one_of(st.floats(-6, 6, width=16), st.integers(-2, 2).map(float))
+    # half-precision values and small integers make exact path-metric ties
+    # common; repeated decimals, whose float sums round, make path metrics
+    # depend on the order in which penalties are added
+    llr_value = st.one_of(
+        st.floats(-6, 6, width=16),
+        st.integers(-2, 2).map(float),
+        st.sampled_from(DECIMAL_LLRS),
+    )
     llr_rows = st.lists(llr_value, min_size=n, max_size=n)
     llrs = np.array(data.draw(st.lists(llr_rows, min_size=1, max_size=4), label="llrs"))
     _assert_matches_reference(spec, llrs, lst)
 
 
-@pytest.mark.parametrize(
-    "n,k,crc_len,lst", [(16, 12, 0, 2), (16, 6, 4, 4), (32, 8, 4, 8), (32, 12, 0, 4)]
-)
+TIED_CASES = [(16, 12, 0, 2), (16, 6, 4, 4), (32, 8, 4, 8), (32, 12, 0, 4)]
+
+
+@pytest.mark.parametrize("n,k,crc_len,lst", TIED_CASES)
 def test_batched_decoder_matches_eager_reference_on_tied_metrics(n, k, crc_len, lst):
     # integer LLRs tie many path metrics, so list order and tie-breaks decide
     spec = fec.construct_polar_code(n, k, 2.0, crc_len, crc_poly=0x3)
     llrs = substream(13, n, k, lst).integers(-2, 3, (100, n)).astype(np.float64)
+    _assert_matches_reference(spec, llrs, lst)
+
+
+@pytest.mark.parametrize("n,k,crc_len,lst", TIED_CASES)
+def test_batched_decoder_matches_eager_reference_on_decimal_llrs(n, k, crc_len, lst):
+    # repeated decimals tie path metrics in real arithmetic, but their float
+    # sums round, so a decoder that adds the penalties in another order than
+    # leaf by leaf (one sum per all-frozen subtree, say) decodes some words
+    # differently
+    spec = fec.construct_polar_code(n, k, 2.0, crc_len, crc_poly=0x3)
+    llrs = substream(13, n, k, lst).choice(DECIMAL_LLRS, (100, n))
     _assert_matches_reference(spec, llrs, lst)
 
 
