@@ -21,10 +21,6 @@ PIXEL_BIT = 1
 IFRAME = 2
 PFRAME = 3
 PAD = 4
-CRC = 5  # unused by the builders here: the polar CRC lives inside the codec
-
-ROLE_NAMES = {TEXT: "TEXT", PIXEL_BIT: "PIXEL_BIT", IFRAME: "IFRAME", PFRAME: "PFRAME",
-              PAD: "PAD", CRC: "CRC"}
 
 
 @dataclass
@@ -37,11 +33,6 @@ class PriorityMapping:
     bit_arg: np.ndarray  # pixel bit index (0 = MSB), -1 otherwise
     protected: np.ndarray  # (payload_len,) bool
     stream_positions: dict  # stream name -> positions in stream order
-
-    def describe(self) -> dict:
-        counts = {ROLE_NAMES[r]: int((self.roles == r).sum()) for r in np.unique(self.roles)}
-        return {"payload_len": self.payload_len, "slots": counts,
-                "protected_slots": int(self.protected.sum())}
 
     def fully_protected(self) -> "PriorityMapping":
         """Baseline variant: every data slot (everything but PAD) protected."""

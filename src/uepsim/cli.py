@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.command, args)
         handlers[args.command](cfg)
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, TypeError, RuntimeError) as exc:
         print(f"uepsim {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -40,7 +40,7 @@ DEFAULT_MAX_ITERS = 25
 _UNDECIDED_TOL = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class LdpcCodeSpec:
     """Parity-check matrix plus the derived systematic encoder."""
 

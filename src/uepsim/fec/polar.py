@@ -36,7 +36,7 @@ DEFAULT_CRC_POLY = 0xC06
 DEFAULT_DESIGN_EBNO_DB = 2.0
 
 
-@dataclass
+@dataclass(eq=False)
 class PolarCodeSpec:
     """Immutable description of one polar code. Safe to share across workers."""
 

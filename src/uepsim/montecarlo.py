@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +37,12 @@ SCENARIOS = {"4L": (4, 0), "3L2P": (3, 2), "2L2P": (2, 2)}
 ALGORITHMS = ("wftm", "smab", "random", "minqueue")
 
 
-@dataclass
+def _nearest(grid, x) -> int:
+    """Index of the grid value closest to x; the first one on ties."""
+    return min(range(len(grid)), key=lambda i: abs(grid[i] - x))
+
+
+@dataclass(eq=False)
 class GainTable:
     """Mean performance gain per (kind, Eb/No, ratio bin, quality level)."""
 
@@ -53,24 +59,15 @@ class GainTable:
                 raise ValueError(f"gain grid for {kind} has shape {self.gains[kind].shape}")
             if not np.isfinite(self.gains[kind]).all():
                 raise ValueError(f"gain grid for {kind} has non-finite entries")
-
-    def _ebno_index(self, ebno_db: float) -> int:
-        return int(np.argmin(np.abs(np.asarray(self.ebno_grid) - ebno_db)))
-
-    def _ratio_index(self, text_fraction: float) -> int:
-        fracs = np.asarray([t / (t + i) for t, i in self.ratio_bins])
-        return int(np.argmin(np.abs(fracs - text_fraction)))
-
-    def _quality_index(self, quality_level: int) -> int:
-        return int(np.argmin(np.abs(np.asarray(self.quality_levels) - quality_level)))
+        self._text_fractions = tuple(t / (t + i) for t, i in self.ratio_bins)
 
     def gain(self, kind: str, ebno_db: float, text_fraction: float, quality_level: int) -> float:
-        arr = self.gains[kind]
+        """Gain of the nearest cell; values off the grid read its edge."""
         return float(
-            arr[
-                self._ebno_index(ebno_db),
-                self._ratio_index(text_fraction),
-                self._quality_index(quality_level),
+            self.gains[kind][
+                _nearest(self.ebno_grid, ebno_db),
+                _nearest(self._text_fractions, text_fraction),
+                _nearest(self.quality_levels, quality_level),
             ]
         )
 
@@ -298,7 +295,7 @@ def mix_seed(*parts) -> int:
 
 
 # --------------------------------------------------------------------------
-# workload sampling and the tick-stepped base-station simulation
+# workload sampling and the event-driven FIFO base-station simulation
 
 
 @dataclass
@@ -312,8 +309,6 @@ class SimConfig:
     master_seed: int = 0
     algorithm: str = "minqueue"
     base_rate_mb_per_tick: float = BASE_RATE_MB_PER_TICK
-    tick_ms: float = 1.0  # nominal wall duration of one tick; metrics stay in ticks
-    drain: bool = True
     smab_alpha: float = sched.DEFAULT_UCB_ALPHA
     smab_c: float = sched.DEFAULT_UCB_C
     smab_sigma_frac: float = sched.DEFAULT_GAIN_SIGMA_FRAC
@@ -358,29 +353,36 @@ def sample_workload(
     )
 
 
-def _job_gains(job: sched.WorkloadJob, table: GainTable | None, ebno_db: float):
+def _job_gains(job: sched.WorkloadJob, table: GainTable, ebno_db: float):
     """Mean gain of this job on each encoder kind (its table cell); these are
     the WFTM weights w_ij and the SMAB Gain_Perf_ij means."""
-    if table is None:
-        return {fec.LDPC: 1.0, fec.POLAR: 1.0}
     return {
         kind: table.gain(kind, ebno_db, job.text_fraction, job.quality_level)
         for kind in (fec.LDPC, fec.POLAR)
     }
 
 
-def run_simulation(cfg: SimConfig, table: GainTable | None = None):
-    """Tick-stepped simulation; returns (SchedMetrics, trace).
+def run_simulation(cfg: SimConfig, table: GainTable):
+    """Event-driven FIFO simulation; returns (SchedMetrics, trace).
 
-    Per tick: at most one Bernoulli(injection_prob) arrival is sampled,
-    assigned immediately by the configured algorithm, and every node
-    processes one tick of work. After the horizon the queues drain.
-    Arrival and algorithm randomness use separate substreams so arrival
-    sequences pair across node configurations with the same seed.
+    Each tick before the horizon draws at most one Bernoulli(injection_prob)
+    arrival, which the configured algorithm assigns at once. A node serves
+    its jobs FIFO without preemption, so a job starts at the later of its
+    arrival and the node's previous finish, and every assigned job runs to
+    completion. Before each assignment a node reports its backlog and its
+    count of jobs finishing after the arrival. Arrival and algorithm
+    randomness use separate substreams so arrival sequences pair across
+    node configurations with the same seed. The trace is in arrival order.
     """
+    lo, hi = min(table.ebno_grid), max(table.ebno_grid)
+    if not lo <= cfg.ebno_db <= hi:
+        raise ValueError(f"ebno_db {cfg.ebno_db} lies outside the gain table grid [{lo}, {hi}]")
     nodes = [sched.EncoderNode(i, sched.LDPC) for i in range(cfg.num_ldpc)] + [
         sched.EncoderNode(cfg.num_ldpc + j, sched.POLAR) for j in range(cfg.num_polar)
     ]
+    # per node, the finish times of its unfinished jobs in FIFO order; the
+    # last one is when the node next falls idle
+    unfinished = [deque() for _ in nodes]
     arr_rng = substream(cfg.master_seed, 0)
     algo_rng = substream(cfg.master_seed, 1)
     state = sched.SmabState(
@@ -388,26 +390,37 @@ def run_simulation(cfg: SimConfig, table: GainTable | None = None):
     )
 
     trace = []
-    starts = {}
-    job_id = 0
-    tick = 0
-    while True:
-        arriving = tick < cfg.horizon_ticks and arr_rng.random() < cfg.injection_prob
-        if arriving:
-            job = sample_workload(
-                arr_rng, job_id, float(tick), table, cfg.ebno_db, cfg.quality_level,
-                cfg.base_rate_mb_per_tick,
+    for tick in range(cfg.horizon_ticks):
+        if arr_rng.random() >= cfg.injection_prob:
+            continue
+        t = float(tick)
+        job = sample_workload(
+            arr_rng, len(trace), t, table, cfg.ebno_db, cfg.quality_level,
+            cfg.base_rate_mb_per_tick,
+        )
+        for node, finishes in zip(nodes, unfinished):
+            while finishes and finishes[0] <= t:
+                finishes.popleft()
+            node.occupancy = len(finishes)
+            node.remaining_work = finishes[-1] - t if finishes else 0.0
+        gains = _job_gains(job, table, cfg.ebno_db)
+        nid = _assign(cfg.algorithm, job, nodes, gains, state, algo_rng)
+        node, finishes = nodes[nid], unfinished[nid]
+        proc = job.proc_time_on(node.kind)
+        start = finishes[-1] if finishes else t
+        finishes.append(start + proc)
+        trace.append(
+            sched.CompletedJob(
+                job_id=job.job_id,
+                arrival=t,
+                node_id=nid,
+                kind=node.kind,
+                start=start,
+                finish=finishes[-1],
+                size_mb=job.size_mb,
+                proc_time=proc,
             )
-            job_id += 1
-            gains = _job_gains(job, table, cfg.ebno_db)
-            nid = _assign(cfg.algorithm, job, nodes, gains, state, algo_rng)
-            nodes[nid].push(job)
-        for node in nodes:
-            _advance_one_tick(node, tick, trace, starts)
-        tick += 1
-        if tick >= cfg.horizon_ticks:
-            if not cfg.drain or all(n.occupancy == 0 for n in nodes):
-                break
+        )
     return sched.compute_metrics(trace), trace
 
 
@@ -425,39 +438,6 @@ def _assign(algorithm, job, nodes, gains, state, rng) -> int:
     reward = sched.smab_reward(gains[nodes[nid].kind], nodes[nid].occupancy, state, rng)
     sched.smab_update(state, nid, reward)
     return nid
-
-
-def _advance_one_tick(node: sched.EncoderNode, tick: int, trace, starts) -> None:
-    budget = 1.0
-    while budget > 1e-12:
-        if node.current is None:
-            if not node.queue:
-                return
-            job = node.queue.pop(0)
-            node.current = [job, job.proc_time_on(node.kind)]
-            starts[job.job_id] = tick + (1.0 - budget)
-        job, remaining = node.current
-        step = min(budget, remaining)
-        budget -= step
-        remaining -= step
-        node.remaining_work = max(node.remaining_work - step, 0.0)
-        if remaining <= 1e-12:
-            finish = tick + (1.0 - budget)
-            trace.append(
-                sched.CompletedJob(
-                    job_id=job.job_id,
-                    arrival=job.arrival_time,
-                    node_id=node.node_id,
-                    kind=node.kind,
-                    start=starts.pop(job.job_id),
-                    finish=finish,
-                    size_mb=job.size_mb,
-                    proc_time=job.proc_time_on(node.kind),
-                )
-            )
-            node.current = None
-        else:
-            node.current = [job, remaining]
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +458,7 @@ def run_scenario_comparison(
 
     Returns a list of row dicts (scenario, ebno_db, injection_prob, seed,
     perf, gain_pct_vs_4L). Performance is the reciprocal of the time to
-    finish every workload (the makespan of the drained trace).
+    finish every workload (the makespan of the trace).
     """
     scenarios = dict(SCENARIOS if scenarios is None else scenarios)
     if reference not in scenarios:

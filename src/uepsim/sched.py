@@ -19,7 +19,6 @@ All ties break toward the lowest node id so runs are reproducible.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,22 +57,12 @@ class WorkloadJob:
 
 @dataclass
 class EncoderNode:
+    """One encoder as the assignment rules see it at an arrival."""
+
     node_id: int
     kind: str  # LDPC or POLAR
-
-    def __post_init__(self):
-        self.queue = []  # waiting jobs, FIFO
-        self.current = None  # (job, remaining_time)
-        self.remaining_work = 0.0
-
-    @property
-    def occupancy(self) -> int:
-        """Jobs waiting plus the one in service."""
-        return len(self.queue) + (1 if self.current is not None else 0)
-
-    def push(self, job: WorkloadJob) -> None:
-        self.queue.append(job)
-        self.remaining_work += job.proc_time_on(self.kind)
+    remaining_work: float = 0.0  # ticks until its last assigned job finishes
+    occupancy: int = 0  # jobs waiting plus the one in service
 
 
 @dataclass
@@ -214,11 +203,3 @@ def compute_metrics(trace) -> SchedMetrics:
         makespan=float(makespan),
         n_jobs=len(trace),
     )
-
-
-def trace_to_csv(trace) -> str:
-    buf = io.StringIO()
-    buf.write("job_id,arrival,node_id,start,finish,kind\n")
-    for j in trace:
-        buf.write(f"{j.job_id},{j.arrival:.6f},{j.node_id},{j.start:.6f},{j.finish:.6f},{j.kind}\n")
-    return buf.getvalue()

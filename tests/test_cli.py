@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from uepsim import cli
+from uepsim import cli, montecarlo
 
 from conftest import DEFAULT_TABLE_PATH
 
@@ -106,6 +106,22 @@ def test_schedule_missing_table_names_file(tmp_path, capsys):
     rc, _ = run(tmp_path, "schedule", cfg, "notable")
     assert rc == 1
     assert "nowhere.json" in capsys.readouterr().err
+
+
+def test_schedule_ebno_outside_table_grid_fails(tmp_path, capsys):
+    rc, _ = run(tmp_path, "schedule", {**SMALL_SCHEDULE, "ebno_db": 5.0}, "offgrid")
+    assert rc == 1
+    assert "ebno_db 5.0 lies outside the gain table grid [1.0, 2.0]" in capsys.readouterr().err
+
+
+def test_transmit_retransmission_cap_exits_nonzero(tmp_path, capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise RuntimeError("retransmission cap exceeded; channel unusably bad")
+
+    monkeypatch.setattr(montecarlo, "measure_webpage_gain", capped)
+    rc, _ = run(tmp_path, "transmit", {**SMALL_TRANSMIT, "char_trials": 50}, "capped")
+    assert rc == 1
+    assert "uepsim transmit: error: retransmission cap exceeded" in capsys.readouterr().err
 
 
 def test_fullsystem_grid_and_reference_zero(tmp_path):

@@ -51,6 +51,7 @@ def test_spec_json_round_trip(toy_ldpc):
     back = ldpc.LdpcCodeSpec.from_json(toy_ldpc.to_json())
     assert np.array_equal(back.parity_check, toy_ldpc.parity_check)
     assert back.k_info == toy_ldpc.k_info
+    assert back != toy_ldpc  # identity, not a field-wise compare of the arrays
 
 
 # -- construction -----------------------------------------------------------

@@ -70,6 +70,13 @@ def test_spec_json_round_trip():
     assert back.crc_len == spec.crc_len and back.crc_poly == spec.crc_poly
 
 
+def test_spec_equality_is_identity():
+    # a field-wise == would compare the ndarray fields and raise
+    a, b = fec.construct_polar_code(8, 4), fec.construct_polar_code(8, 4)
+    assert a == a
+    assert a != b
+
+
 # -- encoding ---------------------------------------------------------------
 
 
