@@ -23,7 +23,7 @@ PFRAME = 3
 PAD = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class PriorityMapping:
     """Per-position roles for one codeword plus stream gather indices."""
 

@@ -18,7 +18,7 @@ def bits_to_bytes(bits: np.ndarray) -> np.ndarray:
     return np.packbits(np.asarray(bits, dtype=np.uint8))
 
 
-@dataclass
+@dataclass(eq=False)
 class WebPagePayload:
     """Text bits plus grayscale pixels packed ratio-wise into codewords.
 
@@ -97,7 +97,7 @@ def make_webpage(
     return WebPagePayload(text, pixels, ratio, shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class GopPayload:
     """One I-frame plus difference P-frames, all with equal dimensions.
 

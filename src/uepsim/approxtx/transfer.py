@@ -1,16 +1,27 @@
 """Selective-retransmission transfer of mapped payloads over the coded channel.
 
 Each codeword is sent, decoded, and compared genie-style against the sent
-bits on the mapping's protected positions; any protected mismatch triggers
-a retransmission of that codeword with fresh noise. Errors on unprotected
-positions stay in the received payload.
+bits on a protected set of payload positions; any protected mismatch
+triggers a retransmission of that codeword with fresh noise. Errors on
+unprotected positions stay in the received payload.
 
-Noise is keyed per (codeword index, attempt) from the caller's seed, so two
-scenarios transmitting the same payload (say, a selective mapping and its
-fully protected baseline) see identical channel realizations attempt by
-attempt. A codeword's accepting attempt under a larger protected set can
-then never precede its accepting attempt under a smaller one, which makes
-the paired retransmission monotonicity exact rather than statistical.
+One pass serves every protected set of a comparison. The selective
+mappings of a sweep and their fully protected baseline carry the same sent
+bits, so ``retransmit_until_clean`` takes a stack of protected masks and
+runs one send/decode/compare loop: each round it resends every codeword
+that is still unclean under at least one mask, and for each mask it keeps
+the first attempt at which the codeword is clean on that mask. The result
+equals separate runs, one per mask, bit for bit, because
+
+  * noise is keyed per (codeword key, attempt) from the caller's seed, so an
+    attempt of a codeword sees the same channel realization whichever mask
+    asked for it and whichever other rows share the batch;
+  * polar and LDPC decoding are row-independent, so a codeword decodes the
+    same whatever batch it is decoded in.
+
+A codeword's accepting attempt under a larger protected set can then never
+precede its accepting attempt under a smaller one, which makes the paired
+retransmission monotonicity exact rather than statistical.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ class TransferStats:
         return self.retransmissions / (self.total_codewords + self.retransmissions)
 
 
-def _assemble_bits(payload, mapping: PriorityMapping) -> np.ndarray:
+def assemble_bits(payload, mapping: PriorityMapping) -> np.ndarray:
     """Pack the payload streams into (n_codewords, payload_len) bit rows."""
     npos = mapping.payload_len
     if isinstance(payload, WebPagePayload):
@@ -73,7 +84,7 @@ def _assemble_bits(payload, mapping: PriorityMapping) -> np.ndarray:
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
-def _extract_payload(payload, mapping: PriorityMapping, received_bits: np.ndarray):
+def extract_payload(payload, mapping: PriorityMapping, received_bits: np.ndarray):
     if isinstance(payload, WebPagePayload):
         text = received_bits[:, mapping.stream_positions["text"]].reshape(-1)
         pix = received_bits[:, mapping.stream_positions["image"]].reshape(-1)
@@ -96,27 +107,38 @@ def retransmit_until_clean(
 ):
     """Core send/decode/compare loop over (n_cw, payload_len) bit rows.
 
-    Returns (retransmissions, received_bits). ``keys`` names each row for
-    noise derivation (defaults to the row index); rows keyed identically see
-    identical noise per attempt whatever the protected set, so a row's
-    accepting attempt is monotone in the protected set.
+    ``protected`` stacks M boolean masks, (M, payload_len). Returns
+    (resent, retransmissions, received): ``resent`` is the number of rows
+    sent again on the channel after the first round, ``retransmissions``
+    (M,) the count each mask alone would have resent, and ``received``
+    (M, n_cw, payload_len) the bits decoded at each row's accepting attempt
+    under each mask. ``keys`` names each row for noise derivation (defaults
+    to the row index).
     """
+    protected = np.asarray(protected, dtype=bool)
+    if protected.ndim != 2 or protected.shape[1] != sent_bits.shape[1]:
+        raise ValueError(f"protected masks must be (M, {sent_bits.shape[1]}), got {protected.shape}")
     n_cw = sent_bits.shape[0]
     keys = np.arange(n_cw) if keys is None else np.asarray(keys)
     codewords = fec.encode_batch(code, sent_bits)
-    received = np.empty_like(sent_bits)
-    pending = np.arange(n_cw)
-    retransmissions = 0
+    received = np.empty((len(protected),) + sent_bits.shape, dtype=sent_bits.dtype)
+    clean = np.zeros((len(protected), n_cw), dtype=bool)
+    retransmissions = np.zeros(len(protected), dtype=np.int64)
+    pending = np.arange(n_cw)  # rows still unclean under some mask
+    resent = 0
     for attempt in range(_MAX_ROUNDS):
         llrs = transmit_keyed(codewords[pending], cfg, noise_seed, keys[pending], attempt)
         decoded, _ = fec.decode_batch(code, llrs, list_size)
-        bad = (decoded[:, protected] != sent_bits[pending][:, protected]).any(axis=1)
-        done = pending[~bad]
-        received[done] = decoded[~bad]
-        pending = pending[bad]
+        wrong = decoded != sent_bits[pending]
+        accept = ~(wrong[None] & protected[:, None]).any(axis=2) & ~clean[:, pending]
+        for m, rows in enumerate(accept):
+            received[m, pending[rows]] = decoded[rows]
+        clean[:, pending] |= accept
+        retransmissions += n_cw - clean.sum(axis=1)
+        pending = pending[~clean[:, pending].all(axis=0)]
         if len(pending) == 0:
-            return retransmissions, received
-        retransmissions += len(pending)
+            return resent, retransmissions, received
+        resent += len(pending)
     raise RuntimeError("retransmission cap exceeded; channel unusably bad")
 
 
@@ -135,12 +157,12 @@ def simulate_transfer(
     """
     if mapping.payload_len != fec.payload_length(code):
         raise ValueError("mapping payload length does not match the code")
-    sent_bits = _assemble_bits(payload, mapping)
-    retransmissions, received = retransmit_until_clean(
-        sent_bits, mapping.protected, code, cfg, noise_seed, list_size=list_size
+    sent_bits = assemble_bits(payload, mapping)
+    _, retransmissions, received = retransmit_until_clean(
+        sent_bits, mapping.protected[None], code, cfg, noise_seed, list_size=list_size
     )
     return TransferStats(
         total_codewords=sent_bits.shape[0],
-        retransmissions=retransmissions,
-        received_payload=_extract_payload(payload, mapping, received),
+        retransmissions=int(retransmissions[0]),
+        received_payload=extract_payload(payload, mapping, received[0]),
     )

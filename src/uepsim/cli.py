@@ -162,19 +162,16 @@ def _transmit_ratio_rows(cfg, code, chan, profile):
 
 def _transmit_pframe_rows(cfg, code, chan, profile):
     frames = synthassets.synthetic_gop(cfg["gop_size"], seed=cfg["seed"])
-    rows = []
-    baseline = None
-    # one seed for the whole sweep: noise keys pair across n_p points, so the
-    # retransmission counts are monotone in n_p and the baseline is shared
-    seed = montecarlo.mix_seed(cfg["seed"], 100)
-    for n_p in cfg["protected_pframes"]:
-        res = montecarlo.measure_video_gain(
-            code, profile, chan, int(n_p), frames, cfg["n_gops"],
-            master_seed=seed, baseline_counts=baseline,
-        )
-        baseline = res["baseline_counts"]
-        rows.append((str(n_p), f"np={n_p}", 100.0 * res["gain"], res["quality"]))
-    return rows
+    # one seed and one transfer pass per GOP for every n_p and the baseline:
+    # the retransmission counts are exactly monotone in n_p
+    results = montecarlo.measure_video_gains(
+        code, profile, chan, [int(n_p) for n_p in cfg["protected_pframes"]], frames,
+        cfg["n_gops"], master_seed=montecarlo.mix_seed(cfg["seed"], 100),
+    )
+    return [
+        (str(n_p), f"np={n_p}", 100.0 * res["gain"], res["quality"])
+        for n_p, res in zip(cfg["protected_pframes"], results)
+    ]
 
 
 def cmd_transmit(cfg) -> None:

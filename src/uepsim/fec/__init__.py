@@ -7,8 +7,6 @@ transfer layers can treat a code spec as an opaque codec.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .ldpc import (
@@ -66,12 +64,3 @@ def decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int = DEFAULT_LIST
     if isinstance(spec, PolarCodeSpec):
         return polar_decode_cascl_batch(spec, llrs, list_size)
     return ldpc_decode_bp_batch(spec, llrs)
-
-
-def spec_from_json(text: str) -> CodeSpec:
-    kind = json.loads(text).get("kind")
-    if kind == "polar":
-        return PolarCodeSpec.from_json(text)
-    if kind == "ldpc":
-        return LdpcCodeSpec.from_json(text)
-    raise ValueError(f"unknown code spec kind {kind!r}")

@@ -50,10 +50,11 @@ class LdpcCodeSpec:
     pivot_positions: np.ndarray  # (rank,) column indices solved by the encoder
     encoder_matrix: np.ndarray  # (rank, K); c[pivot[i]] = encoder_matrix[i] @ payload
     n_total: int = field(init=False)
+    bp: "_BpContext" = field(init=False, repr=False)  # read-only edge layout for decoding
 
     def __post_init__(self):
         self.n_total = self.parity_check.shape[1]
-        self._bp = None
+        self.bp = _BpContext(self.parity_check)
 
     def to_json(self) -> str:
         h = self.parity_check
@@ -275,7 +276,8 @@ def syndrome(spec: LdpcCodeSpec, words: np.ndarray) -> np.ndarray:
 
 
 class _BpContext:
-    """Edge-parallel sum-product machinery shared by all decode calls."""
+    """Edge-parallel sum-product index arrays, built once per code spec and
+    only read by decode calls, so concurrent decodes on one spec are safe."""
 
     def __init__(self, h: np.ndarray):
         rows, cols = np.nonzero(h)
@@ -302,12 +304,6 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return -np.log(np.tanh(0.5 * np.clip(x, 1e-12, None)))
 
 
-def _bp_ctx(spec: LdpcCodeSpec) -> _BpContext:
-    if spec._bp is None:
-        spec._bp = _BpContext(spec.parity_check)
-    return spec._bp
-
-
 _MAX_DECODE_ROWS = 1024  # bounds peak per-edge message memory
 
 
@@ -330,7 +326,7 @@ def ldpc_decode_bp_batch(
             for lo in range(0, llrs.shape[0], _MAX_DECODE_ROWS)
         ]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    ctx = _bp_ctx(spec)
+    ctx = spec.bp
 
     hard = (llrs < 0).astype(np.uint8)
     decided = np.abs(llrs).min(axis=1) > _UNDECIDED_TOL

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approxtx, fec, sched, uep
+from .approxtx import transfer
 from .channel import ChannelConfig
 from .rng import substream
 
@@ -109,115 +110,118 @@ def pooled_performance(total_codewords, retransmissions, payload_bits_per_codewo
     return approxtx.performance(approxtx.transfer_time(stats, params, payload_bytes))
 
 
-def run_transfer_batch(code, mapping, cfg, n_pages, page_codewords, master_seed,
-                       list_size=fec.DEFAULT_LIST_SIZE):
-    """Pooled (total, retransmissions) over random pages.
+def _paired_transfer(code, cfg, sent, mappings, noise_seed):
+    """One transfer pass of ``sent`` under every mapping's protected set and,
+    last, under full protection of the same slots.
 
-    Page i draws its payload from substream (seed, i, 0) and every codeword
-    is noise-keyed by its global index, so two mappings measured with the
-    same seed see identical pages and identical per-attempt channel noise.
-    All pages decode together in large batches.
+    The mappings must share one stream layout (they differ only in their
+    protected sets, as the mappings of one ratio or one GOP do), so that
+    ``sent`` carries the same payload under each. Returns (retransmissions
+    (M + 1,), received (M + 1, n, payload_len)).
     """
-    ratio = (len(mapping.stream_positions["text"]), len(mapping.stream_positions["image"]))
-    from .approxtx.transfer import _assemble_bits, retransmit_until_clean
-
-    blocks = []
-    for i in range(n_pages):
-        page = approxtx.make_webpage(ratio, page_codewords, substream(master_seed, i, 0))
-        blocks.append(_assemble_bits(page, mapping))
-    sent = np.concatenate(blocks, axis=0)
-    retx, _ = retransmit_until_clean(
-        sent, mapping.protected, code, cfg, mix_seed(master_seed, 1), list_size=list_size
-    )
-    return sent.shape[0], retx
+    masks = np.stack([m.protected for m in mappings] + [mappings[0].fully_protected().protected])
+    _, retx, received = transfer.retransmit_until_clean(sent, masks, code, cfg, noise_seed)
+    return retx, received
 
 
-def measure_webpage_gain(
+def _pooled_gains(total, retx, bits_per_cw, params):
+    """Gain and loss fractions of each selective count in ``retx`` over the
+    last one, the baseline's."""
+    retx = [int(r) for r in retx]
+    perf_b = pooled_performance(total, retx[-1], bits_per_cw, params)
+    return [
+        {
+            "gain": approxtx.performance_gain(
+                pooled_performance(total, r, bits_per_cw, params), perf_b
+            ),
+            "loss_fraction": r / (total + r),
+            "baseline_loss_fraction": retx[-1] / (total + retx[-1]),
+        }
+        for r in retx[:-1]
+    ]
+
+
+def measure_webpage_gains(
     code,
     profile,
     cfg: ChannelConfig,
     ratio,
-    quality_level,
+    quality_levels,
     n_pages,
     page_codewords,
     master_seed,
     params: approxtx.ThroughputParams = approxtx.ThroughputParams(),
-    baseline_counts=None,
 ):
-    """Performance gain of selective protection over the full-protection
-    baseline, pooled over ``n_pages`` pages with paired noise substreams.
+    """Performance gain of selective protection at each quality level over
+    the full-protection baseline, pooled over ``n_pages`` random pages.
 
-    The baseline transmits the same pages under the same noise, so its
-    pooled retransmission count dominates the selective one and the gain is
-    never negative. ``baseline_counts`` lets callers reuse one baseline run
-    across quality levels of the same ratio.
+    Page i draws its payload from substream (seed, i, 0) and every codeword
+    is noise-keyed by its global index; one transfer pass serves every
+    quality level and the baseline, so each sees the same pages under the
+    same noise. The baseline's pooled retransmission count dominates every
+    selective one, and no gain is negative. Returns one dict per level.
     """
-    mapping = approxtx.build_webpage_mapping(profile, ratio, quality_level)
-    bits_per_cw = sum(ratio)
-    tot_p, retx_p = run_transfer_batch(code, mapping, cfg, n_pages, page_codewords, master_seed)
-    if baseline_counts is None:
-        baseline_counts = run_transfer_batch(
-            code, mapping.fully_protected(), cfg, n_pages, page_codewords, master_seed
+    if not quality_levels:
+        return []
+    mappings = [approxtx.build_webpage_mapping(profile, ratio, q) for q in quality_levels]
+    sent = np.concatenate([
+        transfer.assemble_bits(
+            approxtx.make_webpage(ratio, page_codewords, substream(master_seed, i, 0)),
+            mappings[0],
         )
-    tot_b, retx_b = baseline_counts
-    perf_p = pooled_performance(tot_p, retx_p, bits_per_cw, params)
-    perf_b = pooled_performance(tot_b, retx_b, bits_per_cw, params)
-    return {
-        "gain": approxtx.performance_gain(perf_p, perf_b),
-        "loss_fraction": retx_p / (tot_p + retx_p),
-        "baseline_loss_fraction": retx_b / (tot_b + retx_b),
-        "baseline_counts": baseline_counts,
-    }
+        for i in range(n_pages)
+    ])
+    retx, _ = _paired_transfer(code, cfg, sent, mappings, mix_seed(master_seed, 1))
+    return _pooled_gains(sent.shape[0], retx, sum(ratio), params)
 
 
-def measure_video_gain(
+def measure_webpage_gain(code, profile, cfg: ChannelConfig, ratio, quality_level, n_pages,
+                         page_codewords, master_seed,
+                         params: approxtx.ThroughputParams = approxtx.ThroughputParams()):
+    """`measure_webpage_gains` at one quality level."""
+    return measure_webpage_gains(code, profile, cfg, ratio, (quality_level,), n_pages,
+                                 page_codewords, master_seed, params)[0]
+
+
+def measure_video_gains(
     code,
     profile,
     cfg: ChannelConfig,
-    protected_pframes: int,
+    protected_pframes,
     frames,
     n_gops: int,
     master_seed: int,
     params: approxtx.ThroughputParams = approxtx.ThroughputParams(),
-    baseline_counts=None,
 ):
-    """GOP-transfer gain of selective P-frame protection over full protection,
-    plus the mean received video quality (MS-SSIM over frames).
+    """GOP-transfer gain of each selective P-frame protection count over full
+    protection, plus the mean received video quality (MS-SSIM over frames).
 
-    The reference for quality is the GOP reconstructed from the transmitted
-    difference representation, so full protection scores exactly 1.0.
+    GOP g is noise-keyed from (seed, g); one transfer pass per GOP serves
+    every count and the baseline. The reference for quality is the GOP
+    reconstructed from the transmitted difference representation, so full
+    protection scores exactly 1.0. Returns one dict per count.
     """
+    if not protected_pframes:
+        return []
     payload = approxtx.GopPayload.from_frames(frames)
-    mapping = approxtx.build_video_mapping(profile, protected_pframes, payload.n_pframes)
+    mappings = [approxtx.build_video_mapping(profile, n_p, payload.n_pframes)
+                for n_p in protected_pframes]
     reference = payload.reconstruct_frames()
-    bits_per_cw = len(mapping.stream_positions["frame0"]) * (payload.n_pframes + 1)
+    bits_per_cw = len(mappings[0].stream_positions["frame0"]) * (payload.n_pframes + 1)
+    sent = transfer.assemble_bits(payload, mappings[0])
 
-    total = retx = 0
-    scores = []
+    retx = np.zeros(len(mappings) + 1, dtype=np.int64)
+    scores = [[] for _ in mappings]
     for g in range(n_gops):
-        stats = approxtx.simulate_transfer(payload, mapping, code, cfg, mix_seed(master_seed, g))
-        total += stats.total_codewords
-        retx += stats.retransmissions
-        scores.append(
-            approxtx.gop_quality(reference, stats.received_payload.reconstruct_frames())
-        )
-    if baseline_counts is None:
-        base_map = mapping.fully_protected()
-        tot_b = retx_b = 0
-        for g in range(n_gops):
-            st = approxtx.simulate_transfer(payload, base_map, code, cfg, mix_seed(master_seed, g))
-            tot_b += st.total_codewords
-            retx_b += st.retransmissions
-        baseline_counts = (tot_b, retx_b)
-    tot_b, retx_b = baseline_counts
-    perf_p = pooled_performance(total, retx, bits_per_cw, params)
-    perf_b = pooled_performance(tot_b, retx_b, bits_per_cw, params)
-    return {
-        "gain": approxtx.performance_gain(perf_p, perf_b),
-        "quality": float(np.mean(scores)),
-        "loss_fraction": retx / (total + retx),
-        "baseline_counts": baseline_counts,
-    }
+        gop_retx, received = _paired_transfer(code, cfg, sent, mappings, mix_seed(master_seed, g))
+        retx += gop_retx
+        for m, mapping in enumerate(mappings):
+            frames_m = transfer.extract_payload(payload, mapping, received[m]).reconstruct_frames()
+            scores[m].append(approxtx.gop_quality(reference, frames_m))
+    results = _pooled_gains(n_gops * sent.shape[0], retx, bits_per_cw, params)
+    for res, gop_scores in zip(results, scores):
+        res["quality"] = float(np.mean(gop_scores))
+    return results
 
 
 def _default_code(kind: str, design_ebno_db: float = 2.0):
@@ -273,16 +277,12 @@ def _gain_column(args):
     profile = uep.characterize(code, cfg, char_trials)
     col = np.zeros((len(ratio_bins), len(quality_levels)))
     for ri, ratio in enumerate(ratio_bins):
-        # one seed per ratio: the baseline run is shared by its quality levels
+        # one seed and one transfer pass per ratio, shared by its quality levels
         seed = mix_seed(master_seed, kind_tag, ebno_idx, 1 + ri)
-        baseline = None
-        for qi, q in enumerate(quality_levels):
-            res = measure_webpage_gain(
-                code, profile, cfg, ratio, q, n_pages, page_codewords,
-                master_seed=seed, baseline_counts=baseline,
-            )
-            baseline = res["baseline_counts"]
-            col[ri, qi] = res["gain"]
+        res = measure_webpage_gains(
+            code, profile, cfg, ratio, quality_levels, n_pages, page_codewords, master_seed=seed
+        )
+        col[ri] = [r["gain"] for r in res]
     return col
 
 

@@ -65,7 +65,7 @@ class EncoderNode:
     occupancy: int = 0  # jobs waiting plus the one in service
 
 
-@dataclass
+@dataclass(eq=False)
 class SmabState:
     n_arms: int
     alpha: float = DEFAULT_UCB_ALPHA

@@ -25,7 +25,7 @@ FAST_TRIALS = 10_000
 _HEAD_LEN = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class BitErrorProfile:
     code_kind: str  # "LDPC" or "POLAR"
     ebno_db: float

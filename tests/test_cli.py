@@ -1,5 +1,6 @@
 """CLI commands: outputs, validation, and byte-level reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -85,6 +86,35 @@ def test_transmit_pframe_sweep_rows(tmp_path):
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 15
     assert rows[1].startswith("0,np=0,")
+
+
+# SHA-256 of sweep.csv from the earlier transfer path, which ran every
+# protected set (and its baseline) as a separate retransmission loop; the
+# one-pass transfer reproduces them byte for byte
+SMALL_PFRAMES_LDPC = {
+    "mode": "pframes",
+    "code": "ldpc",
+    "ebno_db": 1.5,
+    "char_trials": 64,
+    "protected_pframes": [0, 2, 5, 14],
+    "n_gops": 2,
+    "gop_size": 12,
+}
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        (SMALL_PFRAMES_LDPC, "85d74c0e66fd210ea0313c0f72139b45ff3e7e34e84f313baf96db3df728ba3a"),
+        ({**SMALL_TRANSMIT, "ebno_db": 1.25},
+         "b74e8683aa4143e969ef1e0c6b09b687e5a14ff40a2a7996aa7cf186e09323d0"),
+    ],
+    ids=["pframes-ldpc", "ratio-polar"],
+)
+def test_transmit_sweep_digest_pinned(tmp_path, config, digest):
+    rc, out = run(tmp_path, "transmit", config, "pinned")
+    assert rc == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
 
 
 def test_transmit_unknown_mode_fails(tmp_path, capsys):

@@ -1,5 +1,10 @@
 """LDPC construction, alist handling, systematic encoding, and BP decoding."""
 
+import hashlib
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +57,13 @@ def test_spec_json_round_trip(toy_ldpc):
     assert np.array_equal(back.parity_check, toy_ldpc.parity_check)
     assert back.k_info == toy_ldpc.k_info
     assert back != toy_ldpc  # identity, not a field-wise compare of the arrays
+
+
+def test_empty_column_fails_when_the_spec_is_built():
+    # column 6 of this 4x7 matrix has no edge; belief propagation cannot use it
+    rows = [[int(c) for c in np.flatnonzero(r)] for r in TOY_H]
+    with pytest.raises(ValueError, match="empty column"):
+        ldpc.LdpcCodeSpec.from_json(json.dumps({"n_total": 7, "k_info": 4, "rows": rows}))
 
 
 # -- construction -----------------------------------------------------------
@@ -189,3 +201,86 @@ def test_coded_ber_beats_uncoded_at_2db(ldpc_code):
     decoded, _ = fec.ldpc_decode_bp_batch(ldpc_code, llrs)
     ber = decoded.mean()
     assert ber < uncoded_ber(2.0)
+
+
+# -- row independence ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_ldpc():
+    return fec.generate_ldpc_code(128, 64, seed=2)
+
+
+def _noisy_llrs(spec, ebno_db, words, seed):
+    rng = substream(seed, round(100 * ebno_db), 0)
+    payloads = rng.integers(0, 2, (words, spec.k_info)).astype(np.uint8)
+    chan = ChannelConfig(ebno_db, fec.code_rate(spec))
+    return transmit_batch(fec.ldpc_encode_batch(spec, payloads), chan, rng)
+
+
+def _decode_in_chunks(spec, llrs, chunk):
+    parts = [fec.ldpc_decode_bp_batch(spec, llrs[lo : lo + chunk])
+             for lo in range(0, len(llrs), chunk)]
+    return np.concatenate([p for p, _ in parts]), np.concatenate([c for _, c in parts])
+
+
+def test_decode_is_batch_size_invariant(small_ldpc):
+    llrs = _noisy_llrs(small_ldpc, 1.5, 600, seed=1)
+    whole = fec.ldpc_decode_bp_batch(small_ldpc, llrs)
+    assert 0 < whole[1].mean() < 1  # converged and failed words both occur
+    for chunk in (1, 7, 64):
+        payloads, converged = _decode_in_chunks(small_ldpc, llrs, chunk)
+        assert payloads.tobytes() == whole[0].tobytes()
+        assert converged.tobytes() == whole[1].tobytes()
+
+
+def test_decode_across_the_row_limit_matches_chunks(small_ldpc):
+    assert ldpc._MAX_DECODE_ROWS < 1100  # the call below splits internally
+    llrs = _noisy_llrs(small_ldpc, 1.5, 1100, seed=2)
+    whole = fec.ldpc_decode_bp_batch(small_ldpc, llrs)
+    payloads, converged = _decode_in_chunks(small_ldpc, llrs, 100)
+    assert payloads.tobytes() == whole[0].tobytes()
+    assert converged.tobytes() == whole[1].tobytes()
+
+
+def test_threads_decoding_on_one_spec_match_serial(small_ldpc):
+    spec = small_ldpc
+    batches = [_noisy_llrs(spec, 1.5, 24, seed=s) for s in (3, 4)]
+    results = [[], []]
+
+    def work(t):
+        for _ in range(20):
+            results[t].append(fec.ldpc_decode_bp_batch(spec, batches[t]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    serial = [fec.ldpc_decode_bp_batch(spec, b) for b in batches]
+    for t in (0, 1):
+        assert len(results[t]) == 20
+        for payloads, converged in results[t]:
+            assert np.array_equal(payloads, serial[t][0])
+            assert np.array_equal(converged, serial[t][1])
+
+
+# `python3 scripts/decoder_digest.py --code ldpc --words 128` prints these
+GOLDEN_DIGESTS = {
+    1.0: "52b28c1b3d8c625b93e07b6f562a5e6a153ae6f908237ee383b0c115c038bc2d",
+    1.5: "c5f8befd8fb5415e54c4f14a25d8161501874d40cba26cf7eed066641807e0be",
+    2.0: "b9cf45a22a32201ecff3686e270e0561a2c67a44aed680d6d3c285999899188d",
+}
+
+
+@pytest.mark.parametrize("ebno", [1.0, 1.5, 2.0])
+def test_decoder_outputs_match_pinned_digests(ldpc_code, ebno):
+    payloads, converged = fec.ldpc_decode_bp_batch(ldpc_code, _noisy_llrs(ldpc_code, ebno, 128, 1))
+    got = hashlib.sha256(payloads.tobytes() + converged.tobytes()).hexdigest()
+    assert got == GOLDEN_DIGESTS[ebno]

@@ -103,3 +103,11 @@ def test_fully_protected_variant_covers_all_data():
     m = approxtx.build_webpage_mapping(STRICT, (60, 400), 0).fully_protected()
     assert m.protected.sum() == 460
     assert not m.protected[m.roles == mp.PAD].any()
+
+
+def test_mapping_equality_is_identity():
+    # a field-wise == would compare the ndarray fields and raise
+    a = approxtx.build_webpage_mapping(STRICT, (60, 400), 0)
+    b = approxtx.build_webpage_mapping(STRICT, (60, 400), 0)
+    assert a == a
+    assert a != b

@@ -101,6 +101,23 @@ def test_small_gain_table_build_runs_end_to_end():
         assert table.gains[kind][0, 0, 0] >= 0.0
 
 
+def test_gain_table_digest_pinned():
+    # SHA-256 of the table JSON from the earlier transfer path, which ran the
+    # baseline and each quality level as separate retransmission loops
+    table = mc.build_gain_table(
+        ebno_grid=(1.0, 1.5),
+        ratio_bins=((20, 480), (300, 200)),
+        quality_levels=(0, 1),
+        master_seed=5,
+        char_trials=64,
+        n_pages=5,
+        page_codewords=4,
+    )
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == (
+        "190c54df361e04993871f97088231ce3d401bf34f389529ced57ffd40a018080"
+    )
+
+
 # -- simulation engine -------------------------------------------------------
 
 

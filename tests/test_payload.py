@@ -116,3 +116,12 @@ def test_gop_pgm_sequence_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(frames, back))
     with pytest.raises(ValueError):
         load_gop(tmp_path / "empty")
+
+
+def test_payload_equality_is_identity():
+    # a field-wise == would compare the ndarray fields and raise
+    pages = [make_webpage((8, 24), 3, substream(4, 0)) for _ in range(2)]
+    gops = [GopPayload.from_frames(synthetic_gop(12, n_pframes=2, seed=5)) for _ in range(2)]
+    for a, b in (pages, gops):
+        assert a == a
+        assert a != b

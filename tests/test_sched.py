@@ -221,3 +221,10 @@ def test_job_validation():
         job(tl=0.0)
     with pytest.raises(ValueError):
         sched.WorkloadJob(0, -1.0, 0.2, 1, 0.0, 1.0, 1.0)
+
+
+def test_smab_state_equality_is_identity():
+    # a field-wise == would compare the ndarray fields and raise
+    a, b = sched.SmabState(3), sched.SmabState(3)
+    assert a == a
+    assert a != b

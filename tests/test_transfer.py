@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uepsim import approxtx, fec, uep
+from uepsim.approxtx import transfer
 from uepsim.channel import ChannelConfig
 from uepsim.rng import substream
 
@@ -11,6 +14,11 @@ from uepsim.rng import substream
 @pytest.fixture(scope="module")
 def small_code():
     return fec.construct_polar_code(64, 32, 2.0, crc_len=0)
+
+
+@pytest.fixture(scope="module")
+def small_ldpc():
+    return fec.generate_ldpc_code(64, 32, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +129,55 @@ def test_stats_validation():
         approxtx.TransferStats(0, 0, None)
     with pytest.raises(ValueError):
         approxtx.TransferStats(5, -1, None)
+
+
+# -- one pass for many protected sets ----------------------------------------
+
+
+def _masks(seed, n_masks, length, nested):
+    """Random protected masks; nested ones grow by union, the others are
+    drawn independently, and densities span empty to full."""
+    rng = substream(seed, 1)
+    density = rng.choice([0.0, 0.02, 0.05, 0.15, 0.5, 1.0], n_masks)
+    masks = rng.random((n_masks, length)) < density[:, None]
+    return np.logical_or.accumulate(masks) if nested else masks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    code_name=st.sampled_from(["polar", "ldpc"]),
+    seed=st.integers(0, 2**16),
+    n_masks=st.integers(1, 4),
+    n_rows=st.integers(1, 16),
+    nested=st.booleans(),
+    ebno=st.sampled_from([1.0, 1.25, 1.5]),
+)
+def test_multi_mask_pass_equals_separate_passes(
+    small_code, small_ldpc, code_name, seed, n_masks, n_rows, nested, ebno
+):
+    code = small_code if code_name == "polar" else small_ldpc
+    length = fec.payload_length(code)
+    cfg = ChannelConfig(ebno, fec.code_rate(code))
+    sent = substream(seed, 0).integers(0, 2, (n_rows, length)).astype(np.uint8)
+    masks = _masks(seed, n_masks, length, nested)
+    resent, retx, received = transfer.retransmit_until_clean(sent, masks, code, cfg, seed)
+    assert isinstance(resent, int)
+    assert received.shape == (n_masks, n_rows, length)
+    for m, mask in enumerate(masks):
+        one_resent, one_retx, one_received = transfer.retransmit_until_clean(
+            sent, mask[None], code, cfg, seed
+        )
+        assert one_resent == one_retx[0] == retx[m]
+        assert one_received[0].tobytes() == received[m].tobytes()
+        assert (received[m][:, mask] == sent[:, mask]).all()
+    # every mask's resends ride on the shared ones, which never exceed their sum
+    assert max(retx) <= resent <= sum(retx)
+    if nested:
+        assert all(a <= b for a, b in zip(retx, retx[1:]))
+
+
+def test_protected_masks_must_be_stacked(small_code):
+    sent = np.zeros((2, fec.payload_length(small_code)), dtype=np.uint8)
+    mask = np.ones(sent.shape[1], dtype=bool)
+    with pytest.raises(ValueError, match="protected masks"):
+        transfer.retransmit_until_clean(sent, mask, small_code, ChannelConfig(2.0, 0.5), 1)

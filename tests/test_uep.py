@@ -127,3 +127,10 @@ def test_profile_validation():
         uep.BitErrorProfile("LDPC", 2.0, 0, np.array([1]), 1)
     with pytest.raises(ValueError):
         uep.BitErrorProfile("LDPC", 2.0, 5, np.array([7]), 1)
+
+
+def test_profile_equality_is_identity():
+    # a field-wise == would compare the ndarray fields and raise
+    a, b = profile_from_counts([1, 2, 3]), profile_from_counts([1, 2, 3])
+    assert a == a
+    assert a != b
