@@ -11,7 +11,6 @@ pass for polar, convergence for LDPC).
 
     python3 scripts/decoder_digest.py --words 20000 --save new.npz
     python3 scripts/decoder_digest.py --words 20000 --against old.npz
-    python3 scripts/decoder_digest.py --code ldpc --words 20000
 
 ``--save`` keeps the raw outputs; ``--against`` counts, per cell, the words
 whose payload or flag differs from a saved run.
@@ -72,17 +71,14 @@ def main(argv=None) -> int:
     ap.add_argument("--batch", type=int, default=512, help="rows per decode call")
     ap.add_argument("--save", type=Path, help="write every cell's outputs to this .npz")
     ap.add_argument("--against", type=Path, help="count mismatches against a --save file")
-    ap.add_argument("--code", choices=("polar", "ldpc", "both"), default="both",
-                    help="which decoder's cells to run")
     args = ap.parse_args(argv)
     if args.words < 1 or args.batch < 1:
         ap.error("--words and --batch must be positive")
 
-    codes = []  # (spec, list sizes); LDPC decodes once per Eb/No, list size None
-    if args.code != "ldpc":
-        codes.append((fec.construct_polar_code(N, K, crc_len=fec.DEFAULT_CRC_LEN), LISTS))
-    if args.code != "polar":
-        codes.append((fec.generate_ldpc_code(N, K, seed=LDPC_SEED), (None,)))
+    codes = [  # (spec, list sizes); LDPC decodes once per Eb/No, list size None
+        (fec.construct_polar_code(N, K, crc_len=fec.DEFAULT_CRC_LEN), LISTS),
+        (fec.generate_ldpc_code(N, K, seed=LDPC_SEED), (None,)),
+    ]
     ref = None
     if args.against:
         with np.load(args.against) as saved_run:

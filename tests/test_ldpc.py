@@ -271,7 +271,7 @@ def test_threads_decoding_on_one_spec_match_serial(small_ldpc):
             assert np.array_equal(converged, serial[t][1])
 
 
-# `python3 scripts/decoder_digest.py --code ldpc --words 128` prints these
+# `python3 scripts/decoder_digest.py --words 128` prints these in its ldpc rows
 GOLDEN_DIGESTS = {
     1.0: "52b28c1b3d8c625b93e07b6f562a5e6a153ae6f908237ee383b0c115c038bc2d",
     1.5: "c5f8befd8fb5415e54c4f14a25d8161501874d40cba26cf7eed066641807e0be",
