@@ -102,8 +102,6 @@ def retransmit_until_clean(
     code: fec.CodeSpec,
     cfg: ChannelConfig,
     noise_seed: int,
-    keys=None,
-    list_size: int = fec.DEFAULT_LIST_SIZE,
 ):
     """Core send/decode/compare loop over (n_cw, payload_len) bit rows.
 
@@ -112,14 +110,12 @@ def retransmit_until_clean(
     sent again on the channel after the first round, ``retransmissions``
     (M,) the count each mask alone would have resent, and ``received``
     (M, n_cw, payload_len) the bits decoded at each row's accepting attempt
-    under each mask. ``keys`` names each row for noise derivation (defaults
-    to the row index).
+    under each mask. Row i draws its noise from key i.
     """
     protected = np.asarray(protected, dtype=bool)
     if protected.ndim != 2 or protected.shape[1] != sent_bits.shape[1]:
         raise ValueError(f"protected masks must be (M, {sent_bits.shape[1]}), got {protected.shape}")
     n_cw = sent_bits.shape[0]
-    keys = np.arange(n_cw) if keys is None else np.asarray(keys)
     codewords = fec.encode_batch(code, sent_bits)
     received = np.empty((len(protected),) + sent_bits.shape, dtype=sent_bits.dtype)
     clean = np.zeros((len(protected), n_cw), dtype=bool)
@@ -127,8 +123,8 @@ def retransmit_until_clean(
     pending = np.arange(n_cw)  # rows still unclean under some mask
     resent = 0
     for attempt in range(_MAX_ROUNDS):
-        llrs = transmit_keyed(codewords[pending], cfg, noise_seed, keys[pending], attempt)
-        decoded, _ = fec.decode_batch(code, llrs, list_size)
+        llrs = transmit_keyed(codewords[pending], cfg, noise_seed, pending, attempt)
+        decoded, _ = fec.decode_batch(code, llrs)
         wrong = decoded != sent_bits[pending]
         accept = ~(wrong[None] & protected[:, None]).any(axis=2) & ~clean[:, pending]
         for m, rows in enumerate(accept):
@@ -148,7 +144,6 @@ def simulate_transfer(
     code: fec.CodeSpec,
     cfg: ChannelConfig,
     noise_seed: int,
-    list_size: int = fec.DEFAULT_LIST_SIZE,
 ) -> TransferStats:
     """Send one page or GOP; retransmit codewords until protected slots are clean.
 
@@ -159,7 +154,7 @@ def simulate_transfer(
         raise ValueError("mapping payload length does not match the code")
     sent_bits = assemble_bits(payload, mapping)
     _, retransmissions, received = retransmit_until_clean(
-        sent_bits, mapping.protected[None], code, cfg, noise_seed, list_size=list_size
+        sent_bits, mapping.protected[None], code, cfg, noise_seed
     )
     return TransferStats(
         total_codewords=sent_bits.shape[0],

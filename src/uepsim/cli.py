@@ -7,9 +7,10 @@ Subcommands map one-to-one onto the experiment families:
     schedule       resource-allocation algorithm comparison (metrics CSV)
     fullsystem     4L / 3L2P / 2L2P scenario gain study (per-seed CSV)
 
-Each command reads a JSON config (all keys optional, defaults below) plus
-flag overrides. All randomness descends from one master seed, so re-running
-with the same config and seed reproduces every output byte for byte.
+Each command reads a JSON config plus flag overrides. `_DEFAULTS[command]`
+is the command's schema: every key is optional, and a key outside it is an
+error. All randomness descends from one master seed, so re-running with the
+same config and seed reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from . import approxtx, fec, montecarlo, synthassets, uep
 from .channel import ChannelConfig
 from .rng import substream
 
+_SIM = montecarlo.SimConfig()  # the one default operating point of the scheduler
+
 _DEFAULTS = {
     "characterize": {
         "code": "polar",
@@ -32,7 +35,7 @@ _DEFAULTS = {
         "k_info": 512,
         "ebno_db": 2.0,
         "trials": uep.FAST_TRIALS,  # paper-fidelity runs use uep.DEFAULT_TRIALS
-        "crc_len": None,  # polar: 0 for characterization, ldpc: ignored
+        "crc_len": 0,  # polar only; ldpc ignores it
         "list_size": fec.DEFAULT_LIST_SIZE,
         "ldpc_seed": 1,
         "seed": 0,
@@ -45,25 +48,24 @@ _DEFAULTS = {
         "ebno_db": 2.0,
         "char_trials": 2000,
         "quality_level": 0,
-        "ratios": [[20 + 40 * i, 480 - 40 * i] for i in range(8)],
+        "ratios": [list(b) for b in montecarlo.RATIO_BINS],
         "protected_pframes": list(range(15)),
         "n_pages": 200,
         "page_codewords": 4,
         "quality_image_size": 64,
         "n_gops": 3,
         "gop_size": 32,
-        "list_size": fec.DEFAULT_LIST_SIZE,
         "ldpc_seed": 1,
         "seed": 0,
     },
     "schedule": {
         "algorithms": list(montecarlo.ALGORITHMS),
         "injection_probs": [round(0.1 * i, 1) for i in range(1, 11)],
-        "num_ldpc": 4,
-        "num_polar": 2,
-        "ebno_db": 1.5,
-        "horizon_ticks": 1500,
-        "quality_level": 1,
+        "num_ldpc": _SIM.num_ldpc,
+        "num_polar": _SIM.num_polar,
+        "ebno_db": _SIM.ebno_db,
+        "horizon_ticks": _SIM.horizon_ticks,
+        "quality_level": _SIM.quality_level,
         "seeds": [0, 1, 2, 3, 4],
         "gain_table": "data/default_gain_table.json",
         "seed": 0,
@@ -72,13 +74,16 @@ _DEFAULTS = {
         "scenarios": {name: list(mn) for name, mn in montecarlo.SCENARIOS.items()},
         "ebno_grid": list(montecarlo.EBNO_GRID),
         "injection_probs": [round(0.1 * i, 1) for i in range(1, 11)],
-        "horizon_ticks": 1500,
-        "quality_level": 1,
+        "horizon_ticks": _SIM.horizon_ticks,
+        "quality_level": _SIM.quality_level,
         "seeds": [0, 1, 2, 3, 4],
         "gain_table": "data/default_gain_table.json",
         "seed": 0,
     },
 }
+
+# the config key `--trials` sets; the other commands have none
+_TRIALS_KEY = {"characterize": "trials", "transmit": "char_trials"}
 
 
 def _fmt(x) -> str:
@@ -98,12 +103,19 @@ def _load_config(command: str, args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        cfg.update(json.loads(path.read_text()))
+        given = json.loads(path.read_text())
+        unknown = sorted(set(given) - set(cfg))
+        if unknown:
+            raise ValueError(f"unknown {command} config keys: {', '.join(unknown)}")
+        cfg.update(given)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.trials is not None:
-        cfg["trials"] = args.trials
-        cfg["char_trials"] = args.trials
+        if command not in _TRIALS_KEY:
+            raise ValueError(f"--trials does not apply to {command}")
+        cfg[_TRIALS_KEY[command]] = args.trials
+    if args.parallel > 1 and command in ("schedule", "fullsystem"):
+        raise ValueError(f"--parallel above 1 does not apply to {command}")
     cfg["_out"] = Path(args.out)
     cfg["_parallel"] = args.parallel
     return cfg
@@ -112,10 +124,7 @@ def _load_config(command: str, args) -> dict:
 def _build_code(cfg):
     kind = cfg["code"].lower()
     if kind == "polar":
-        crc = cfg.get("crc_len")
-        if crc is None:
-            crc = 0
-        return fec.construct_polar_code(cfg["n_total"], cfg["k_info"], crc_len=crc)
+        return fec.construct_polar_code(cfg["n_total"], cfg["k_info"], crc_len=cfg["crc_len"])
     if kind == "ldpc":
         return fec.generate_ldpc_code(cfg["n_total"], cfg["k_info"], seed=cfg["ldpc_seed"])
     raise ValueError(f"unknown code kind {cfg['code']!r}")
@@ -125,8 +134,6 @@ def _build_code(cfg):
 
 
 def cmd_characterize(cfg) -> None:
-    if cfg["trials"] < 1:
-        raise ValueError("trials must be at least 1")
     code = _build_code(cfg)
     chan = ChannelConfig(cfg["ebno_db"], fec.code_rate(code), rng_seed=cfg["seed"])
     profile = uep.characterize(
@@ -182,7 +189,7 @@ def cmd_transmit(cfg) -> None:
         {**cfg, "crc_len": fec.DEFAULT_CRC_LEN if cfg["code"] == "polar" else None}
     )
     chan = ChannelConfig(cfg["ebno_db"], fec.code_rate(code), rng_seed=cfg["seed"])
-    profile = uep.characterize(code, chan, cfg["char_trials"], list_size=cfg["list_size"])
+    profile = uep.characterize(code, chan, cfg["char_trials"], workers=cfg["_parallel"])
     rows = (
         _transmit_ratio_rows(cfg, code, chan, profile)
         if mode == "ratio"

@@ -21,7 +21,7 @@ import numpy as np
 from . import approxtx, fec, sched, uep
 from .approxtx import transfer
 from .channel import ChannelConfig
-from .rng import substream
+from .rng import fan_out, substream
 
 # MB of payload one encoder processes per tick at gain 0. The paper-facing
 # normalization is one workload-size unit per tick; 0.1 MB/tick puts the
@@ -34,6 +34,7 @@ RATIO_BINS = tuple((20 + 40 * i, 480 - 40 * i) for i in range(8))
 QUALITY_LEVELS = (0, 1)
 
 SCENARIOS = {"4L": (4, 0), "3L2P": (3, 2), "2L2P": (2, 2)}
+REFERENCE_SCENARIO = "4L"  # the conventional all-LDPC base station
 
 ALGORITHMS = ("wftm", "smab", "random", "minqueue")
 
@@ -72,9 +73,9 @@ class GainTable:
             ]
         )
 
-    def rate_mb_per_tick(self, kind, ebno_db, text_fraction, quality_level,
-                         base_rate=BASE_RATE_MB_PER_TICK) -> float:
-        return base_rate * (1.0 + self.gain(kind, ebno_db, text_fraction, quality_level))
+    def rate_mb_per_tick(self, kind, ebno_db, text_fraction, quality_level) -> float:
+        gain = self.gain(kind, ebno_db, text_fraction, quality_level)
+        return BASE_RATE_MB_PER_TICK * (1.0 + gain)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -102,12 +103,14 @@ class GainTable:
 # transfer gain measurement (shared by the table builder and the CLI sweeps)
 
 
-def pooled_performance(total_codewords, retransmissions, payload_bits_per_codeword,
-                       params: approxtx.ThroughputParams) -> float:
-    """Reciprocal transfer time of a pooled batch of pages."""
+def pooled_performance(total_codewords, retransmissions, payload_bits_per_codeword) -> float:
+    """Reciprocal transfer time of a pooled batch of pages under the default
+    TCP parameters."""
     stats = approxtx.TransferStats(total_codewords, retransmissions, None)
     payload_bytes = total_codewords * payload_bits_per_codeword / 8.0
-    return approxtx.performance(approxtx.transfer_time(stats, params, payload_bytes))
+    return approxtx.performance(
+        approxtx.transfer_time(stats, approxtx.ThroughputParams(), payload_bytes)
+    )
 
 
 def _paired_transfer(code, cfg, sent, mappings, noise_seed):
@@ -124,16 +127,14 @@ def _paired_transfer(code, cfg, sent, mappings, noise_seed):
     return retx, received
 
 
-def _pooled_gains(total, retx, bits_per_cw, params):
+def _pooled_gains(total, retx, bits_per_cw):
     """Gain and loss fractions of each selective count in ``retx`` over the
     last one, the baseline's."""
     retx = [int(r) for r in retx]
-    perf_b = pooled_performance(total, retx[-1], bits_per_cw, params)
+    perf_b = pooled_performance(total, retx[-1], bits_per_cw)
     return [
         {
-            "gain": approxtx.performance_gain(
-                pooled_performance(total, r, bits_per_cw, params), perf_b
-            ),
+            "gain": approxtx.performance_gain(pooled_performance(total, r, bits_per_cw), perf_b),
             "loss_fraction": r / (total + r),
             "baseline_loss_fraction": retx[-1] / (total + retx[-1]),
         }
@@ -150,7 +151,6 @@ def measure_webpage_gains(
     n_pages,
     page_codewords,
     master_seed,
-    params: approxtx.ThroughputParams = approxtx.ThroughputParams(),
 ):
     """Performance gain of selective protection at each quality level over
     the full-protection baseline, pooled over ``n_pages`` random pages.
@@ -172,15 +172,14 @@ def measure_webpage_gains(
         for i in range(n_pages)
     ])
     retx, _ = _paired_transfer(code, cfg, sent, mappings, mix_seed(master_seed, 1))
-    return _pooled_gains(sent.shape[0], retx, sum(ratio), params)
+    return _pooled_gains(sent.shape[0], retx, sum(ratio))
 
 
 def measure_webpage_gain(code, profile, cfg: ChannelConfig, ratio, quality_level, n_pages,
-                         page_codewords, master_seed,
-                         params: approxtx.ThroughputParams = approxtx.ThroughputParams()):
+                         page_codewords, master_seed):
     """`measure_webpage_gains` at one quality level."""
     return measure_webpage_gains(code, profile, cfg, ratio, (quality_level,), n_pages,
-                                 page_codewords, master_seed, params)[0]
+                                 page_codewords, master_seed)[0]
 
 
 def measure_video_gains(
@@ -191,7 +190,6 @@ def measure_video_gains(
     frames,
     n_gops: int,
     master_seed: int,
-    params: approxtx.ThroughputParams = approxtx.ThroughputParams(),
 ):
     """GOP-transfer gain of each selective P-frame protection count over full
     protection, plus the mean received video quality (MS-SSIM over frames).
@@ -218,15 +216,15 @@ def measure_video_gains(
         for m, mapping in enumerate(mappings):
             frames_m = transfer.extract_payload(payload, mapping, received[m]).reconstruct_frames()
             scores[m].append(approxtx.gop_quality(reference, frames_m))
-    results = _pooled_gains(n_gops * sent.shape[0], retx, bits_per_cw, params)
+    results = _pooled_gains(n_gops * sent.shape[0], retx, bits_per_cw)
     for res, gop_scores in zip(results, scores):
         res["quality"] = float(np.mean(gop_scores))
     return results
 
 
-def _default_code(kind: str, design_ebno_db: float = 2.0):
+def _default_code(kind: str):
     if kind == fec.POLAR:
-        return fec.construct_polar_code(1024, 512, design_ebno_db, fec.DEFAULT_CRC_LEN)
+        return fec.construct_polar_code(1024, 512, crc_len=fec.DEFAULT_CRC_LEN)
     return fec.generate_ldpc_code(1024, 512, seed=1)
 
 
@@ -234,16 +232,18 @@ def build_gain_table(
     ebno_grid=EBNO_GRID,
     ratio_bins=RATIO_BINS,
     quality_levels=QUALITY_LEVELS,
-    master_seed: int = 1234,
-    char_trials: int = 2000,
-    n_pages: int = 50,
-    page_codewords: int = 4,
-    parallel: int = 1,
+    master_seed: int = 20240,
+    char_trials: int = 3000,
+    n_pages: int = 150,
+    page_codewords: int = 8,
+    workers: int = 1,
 ) -> GainTable:
     """Run the characterization pipeline over the whole grid.
 
-    Deterministic in ``master_seed`` and independent of ``parallel``: every
-    (kind, ebno) column derives its substreams from the master seed alone.
+    The defaults are the settings `data/default_gain_table.json` was built
+    with. Deterministic in ``master_seed`` and independent of ``workers``:
+    every (kind, ebno) column derives its substreams from the master seed
+    alone.
     """
     jobs = [(kind, i) for kind in (fec.LDPC, fec.POLAR) for i in range(len(ebno_grid))]
     args = [
@@ -251,14 +251,7 @@ def build_gain_table(
          char_trials, n_pages, page_codewords)
         for kind, i in jobs
     ]
-    if parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_gain_column, args))
-    else:
-        results = [_gain_column(a) for a in args]
-
+    results = fan_out(_gain_column, args, workers)
     shape = (len(ebno_grid), len(ratio_bins), len(quality_levels))
     gains = {fec.LDPC: np.zeros(shape), fec.POLAR: np.zeros(shape)}
     for (kind, i), col in zip(jobs, results):
@@ -303,15 +296,11 @@ class SimConfig:
     num_ldpc: int = 4
     num_polar: int = 2
     injection_prob: float = 0.5
-    ebno_db: float = 1.5
+    ebno_db: float = 2.0
     horizon_ticks: int = 1500
-    quality_level: int = 1
+    quality_level: int = 0
     master_seed: int = 0
     algorithm: str = "minqueue"
-    base_rate_mb_per_tick: float = BASE_RATE_MB_PER_TICK
-    smab_alpha: float = sched.DEFAULT_UCB_ALPHA
-    smab_c: float = sched.DEFAULT_UCB_C
-    smab_sigma_frac: float = sched.DEFAULT_GAIN_SIGMA_FRAC
 
     def __post_init__(self):
         if self.num_ldpc + self.num_polar < 1:
@@ -329,19 +318,18 @@ def sample_workload(
     job_id: int = 0,
     arrival_time: float = 0.0,
     table: GainTable | None = None,
-    ebno_db: float = 1.5,
-    quality_level: int = 1,
-    base_rate: float = BASE_RATE_MB_PER_TICK,
+    ebno_db: float = SimConfig.ebno_db,
+    quality_level: int = SimConfig.quality_level,
 ) -> sched.WorkloadJob:
     """Draw one workload: size ~ Gamma(2, 1.5) MB, text fraction ~ Beta(0.6, 1.8)."""
     size = float(rng.gamma(2.0, 1.5))
     size = max(size, 1e-6)
     frac = float(rng.beta(0.6, 1.8))
     if table is not None:
-        rate_l = table.rate_mb_per_tick(fec.LDPC, ebno_db, frac, quality_level, base_rate)
-        rate_p = table.rate_mb_per_tick(fec.POLAR, ebno_db, frac, quality_level, base_rate)
+        rate_l = table.rate_mb_per_tick(fec.LDPC, ebno_db, frac, quality_level)
+        rate_p = table.rate_mb_per_tick(fec.POLAR, ebno_db, frac, quality_level)
     else:
-        rate_l = rate_p = base_rate
+        rate_l = rate_p = BASE_RATE_MB_PER_TICK
     return sched.WorkloadJob(
         job_id=job_id,
         size_mb=size,
@@ -385,19 +373,14 @@ def run_simulation(cfg: SimConfig, table: GainTable):
     unfinished = [deque() for _ in nodes]
     arr_rng = substream(cfg.master_seed, 0)
     algo_rng = substream(cfg.master_seed, 1)
-    state = sched.SmabState(
-        len(nodes), alpha=cfg.smab_alpha, c=cfg.smab_c, gain_sigma_frac=cfg.smab_sigma_frac
-    )
+    state = sched.SmabState(len(nodes))
 
     trace = []
     for tick in range(cfg.horizon_ticks):
         if arr_rng.random() >= cfg.injection_prob:
             continue
         t = float(tick)
-        job = sample_workload(
-            arr_rng, len(trace), t, table, cfg.ebno_db, cfg.quality_level,
-            cfg.base_rate_mb_per_tick,
-        )
+        job = sample_workload(arr_rng, len(trace), t, table, cfg.ebno_db, cfg.quality_level)
         for node, finishes in zip(nodes, unfinished):
             while finishes and finishes[0] <= t:
                 finishes.popleft()
@@ -447,23 +430,22 @@ def _assign(algorithm, job, nodes, gains, state, rng) -> int:
 def run_scenario_comparison(
     base_cfg: SimConfig,
     table: GainTable,
+    *,
+    ebno_grid,
+    injection_grid,
+    seeds,
     scenarios: dict = None,
-    ebno_grid=None,
-    injection_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-    seeds=(0, 1, 2, 3, 4),
-    reference: str = "4L",
 ):
     """Performance of each encoder scenario across the grid, with the gain
-    over the reference scenario paired per seed.
+    over `REFERENCE_SCENARIO` paired per seed.
 
     Returns a list of row dicts (scenario, ebno_db, injection_prob, seed,
     perf, gain_pct_vs_4L). Performance is the reciprocal of the time to
     finish every workload (the makespan of the trace).
     """
     scenarios = dict(SCENARIOS if scenarios is None else scenarios)
-    if reference not in scenarios:
-        raise ValueError(f"reference scenario {reference!r} not among scenarios")
-    ebno_grid = list(table.ebno_grid if ebno_grid is None else ebno_grid)
+    if REFERENCE_SCENARIO not in scenarios:
+        raise ValueError(f"reference scenario {REFERENCE_SCENARIO!r} not among scenarios")
 
     perfs = {}
     for name, (m, n) in scenarios.items():
@@ -484,7 +466,7 @@ def run_scenario_comparison(
             for inj in injection_grid:
                 for seed in seeds:
                     perf = perfs[(name, ebno, inj, seed)]
-                    ref = perfs[(reference, ebno, inj, seed)]
+                    ref = perfs[(REFERENCE_SCENARIO, ebno, inj, seed)]
                     rows.append(
                         {
                             "scenario": name,

@@ -18,7 +18,7 @@ from scipy import stats
 
 from . import fec
 from .channel import ChannelConfig, transmit_batch
-from .rng import substream
+from .rng import fan_out, substream
 
 DEFAULT_TRIALS = 100_000
 FAST_TRIALS = 10_000
@@ -96,27 +96,17 @@ def characterize(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    npos = fec.payload_length(code)
-    counts = np.zeros(npos, dtype=np.int64)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        ranges = [(code, cfg, int(a), int(b - a), list_size, batch_size)
-                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_range, ranges):
-                counts += part
-    else:
-        for start in range(0, trials, batch_size):
-            n = min(batch_size, trials - start)
-            counts += _run_batch(code, cfg, start, n, list_size)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    ranges = [(code, cfg, a, b - a, list_size, batch_size)
+              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     return BitErrorProfile(
         code_kind=fec.code_kind(code),
         ebno_db=cfg.ebno_db,
         trials=trials,
-        error_counts=counts,
-        k_info=npos,
+        error_counts=sum(fan_out(_run_range, ranges, workers)),
+        k_info=fec.payload_length(code),
     )
 
 

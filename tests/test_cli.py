@@ -1,5 +1,6 @@
 """CLI commands: outputs, validation, and byte-level reproducibility."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -8,14 +9,16 @@ import pytest
 
 from uepsim import cli, montecarlo
 
-from conftest import DEFAULT_TABLE_PATH
+from conftest import DEFAULT_TABLE_PATH, REPO
 
 
-def run(tmp_path, command, config, name, seed=3):
+def run(tmp_path, command, config, name, *flags, seed=3):
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / name
-    rc = cli.main([command, "--config", str(cfg_path), "--out", str(out), "--seed", str(seed)])
+    rc = cli.main(
+        [command, "--config", str(cfg_path), "--out", str(out), "--seed", str(seed), *flags]
+    )
     return rc, out
 
 
@@ -176,3 +179,48 @@ def test_rerun_is_byte_identical(tmp_path, command, config, artifact):
     _, out1 = run(tmp_path, command, config, "first")
     _, out2 = run(tmp_path, command, config, "second")
     assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
+
+# -- the config schema ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["ebno", "_out"])
+def test_unknown_config_key_exits_nonzero_and_names_it(tmp_path, capsys, key):
+    rc, _ = run(tmp_path, "schedule", {**SMALL_SCHEDULE, key: 2.0}, "typo")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "schedule" in err and key in err
+
+
+def test_transmit_list_size_key_is_rejected(tmp_path, capsys):
+    rc, _ = run(tmp_path, "transmit", {**SMALL_TRANSMIT, "list_size": 32}, "listsize")
+    assert rc == 1
+    assert "list_size" in capsys.readouterr().err
+
+
+def test_schedule_rejects_parallel_above_one(tmp_path, capsys):
+    rc, _ = run(tmp_path, "schedule", SMALL_SCHEDULE, "par", "--parallel", "2")
+    assert rc == 1
+    assert "--parallel" in capsys.readouterr().err
+
+
+def test_fullsystem_rejects_trials(tmp_path, capsys):
+    rc, _ = run(tmp_path, "fullsystem", SMALL_FULLSYSTEM, "trials", "--trials", "10")
+    assert rc == 1
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.stem
+)
+def test_pinned_config_fits_schema(path):
+    command = path.stem.split("_")[0]
+    args = argparse.Namespace(config=str(path), seed=None, trials=None, parallel=1, out="out")
+    cfg = cli._load_config(command, args)
+    assert set(json.loads(path.read_text())) <= set(cfg)
+
+
+def test_transmit_parallel_characterization_is_byte_identical(tmp_path):
+    _, serial = run(tmp_path, "transmit", SMALL_TRANSMIT, "serial", "--parallel", "1")
+    _, fanned = run(tmp_path, "transmit", SMALL_TRANSMIT, "fanned", "--parallel", "2")
+    assert (serial / "sweep.csv").read_bytes() == (fanned / "sweep.csv").read_bytes()

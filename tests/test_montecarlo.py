@@ -1,6 +1,9 @@
 """Workload distributions, gain table, simulation engine, and scenario study."""
 
+import functools
 import hashlib
+import importlib.util
+import inspect
 import json
 
 import numpy as np
@@ -10,7 +13,7 @@ from dataclasses import replace
 from uepsim import cli, fec, montecarlo as mc, sched
 from uepsim.rng import substream
 
-from conftest import DEFAULT_TABLE_PATH
+from conftest import DEFAULT_TABLE_PATH, REPO
 
 
 # -- workload sampling -------------------------------------------------------
@@ -101,21 +104,53 @@ def test_small_gain_table_build_runs_end_to_end():
         assert table.gains[kind][0, 0, 0] >= 0.0
 
 
+PINNED_TABLE_ARGS = dict(
+    ebno_grid=(1.0, 1.5),
+    ratio_bins=((20, 480), (300, 200)),
+    quality_levels=(0, 1),
+    master_seed=5,
+    char_trials=64,
+    n_pages=5,
+    page_codewords=4,
+)
+# SHA-256 of the table JSON from the earlier transfer path, which ran the
+# baseline and each quality level as separate retransmission loops
+PINNED_TABLE_DIGEST = "190c54df361e04993871f97088231ce3d401bf34f389529ced57ffd40a018080"
+
+
 def test_gain_table_digest_pinned():
-    # SHA-256 of the table JSON from the earlier transfer path, which ran the
-    # baseline and each quality level as separate retransmission loops
-    table = mc.build_gain_table(
-        ebno_grid=(1.0, 1.5),
-        ratio_bins=((20, 480), (300, 200)),
-        quality_levels=(0, 1),
-        master_seed=5,
-        char_trials=64,
-        n_pages=5,
-        page_codewords=4,
+    table = mc.build_gain_table(**PINNED_TABLE_ARGS)
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == PINNED_TABLE_DIGEST
+
+
+def test_gain_table_digest_pinned_over_two_workers():
+    table = mc.build_gain_table(**PINNED_TABLE_ARGS, workers=2)
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == PINNED_TABLE_DIGEST
+
+
+def test_build_script_forwards_only_given_flags(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "build_default_gain_table", REPO / "scripts" / "build_default_gain_table.py"
     )
-    assert hashlib.sha256(table.to_json().encode()).hexdigest() == (
-        "190c54df361e04993871f97088231ce3d401bf34f389529ced57ffd40a018080"
-    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = mc.build_gain_table
+    calls = []
+
+    @functools.wraps(real)
+    def recording(**kwargs):
+        bound = inspect.signature(real).bind(**kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return mc.GainTable((1.0,), ((20, 480),), (0, 1), {fec.LDPC: np.zeros((1, 1, 2))})
+
+    monkeypatch.setattr(mc, "build_gain_table", recording)
+    out = str(tmp_path / "table.json")
+    assert script.main(["--out", out]) == 0
+    assert script.main(["--out", out, "--pages", "3", "--parallel", "2"]) == 0
+    shipped = dict(master_seed=20240, char_trials=3000, n_pages=150, page_codewords=8, workers=1)
+    assert {k: calls[0][k] for k in shipped} == shipped
+    assert {k: calls[1][k] for k in shipped} == {**shipped, "n_pages": 3, "workers": 2}
 
 
 # -- simulation engine -------------------------------------------------------

@@ -52,6 +52,10 @@ def test_characterize_rejects_zero_trials():
     code = fec.construct_polar_code(16, 8)
     with pytest.raises(ValueError):
         uep.characterize(code, ChannelConfig(2.0, 0.5), 0)
+    with pytest.raises(ValueError, match="workers"):
+        uep.characterize(code, ChannelConfig(2.0, 0.5), 10, workers=0)
+    with pytest.raises(TypeError):  # a fractional count would run fewer trials than it reports
+        uep.characterize(code, ChannelConfig(2.0, 0.5), 2.5)
 
 
 # -- protection order -------------------------------------------------------
