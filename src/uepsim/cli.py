@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,29 +211,26 @@ def _load_table(cfg) -> montecarlo.GainTable:
 
 def cmd_schedule(cfg) -> None:
     table = _load_table(cfg)
-    lines = ["algorithm,injection_prob,avg_throughput,avg_wait,avg_flow,makespan,n_jobs"]
-    for algo in cfg["algorithms"]:
-        for inj in cfg["injection_probs"]:
-            agg = {"avg_throughput": [], "avg_wait": [], "avg_flow": [], "makespan": [], "n_jobs": []}
-            for seed in cfg["seeds"]:
-                sim = montecarlo.SimConfig(
-                    num_ldpc=cfg["num_ldpc"],
-                    num_polar=cfg["num_polar"],
-                    injection_prob=inj,
-                    ebno_db=cfg["ebno_db"],
-                    horizon_ticks=cfg["horizon_ticks"],
-                    quality_level=cfg["quality_level"],
-                    master_seed=montecarlo.mix_seed(cfg["seed"], seed),
-                    algorithm=algo,
-                )
-                metrics, _ = montecarlo.run_simulation(sim, table)
-                for key in agg:
-                    agg[key].append(getattr(metrics, key))
-            means = {k: float(np.mean(v)) for k, v in agg.items()}
-            lines.append(
-                f"{algo},{_fmt(inj)},{_fmt(means['avg_throughput'])},{_fmt(means['avg_wait'])},"
-                f"{_fmt(means['avg_flow'])},{_fmt(means['makespan'])},{_fmt(means['n_jobs'])}"
-            )
+    algorithms, injection_probs = cfg["algorithms"], cfg["injection_probs"]
+    point = {k: cfg[k] for k in ("num_ldpc", "num_polar", "ebno_db", "horizon_ticks",
+                                 "quality_level")}
+    # per (algorithm, injection) row, the metrics of every seed
+    runs = [[[] for _ in injection_probs] for _ in algorithms]
+    for i, inj in enumerate(injection_probs):
+        for seed in cfg["seeds"]:
+            sim = montecarlo.SimConfig(**point, injection_prob=inj,
+                                       master_seed=montecarlo.mix_seed(cfg["seed"], seed))
+            jobs = montecarlo.sample_arrivals(sim, table)  # one stream for every algorithm
+            for algo, per_injection in zip(algorithms, runs):
+                metrics = montecarlo.run_simulation(replace(sim, algorithm=algo), jobs)[0]
+                per_injection[i].append(metrics)
+            del jobs  # one stream alive at a time
+    keys = ("avg_throughput", "avg_wait", "avg_flow", "makespan", "n_jobs")
+    lines = ["algorithm,injection_prob," + ",".join(keys)]
+    for algo, per_injection in zip(algorithms, runs):
+        for inj, per_seed in zip(injection_probs, per_injection):
+            means = [float(np.mean([getattr(m, k) for m in per_seed])) for k in keys]
+            lines.append(",".join([algo, _fmt(inj)] + [_fmt(v) for v in means]))
     _write(cfg["_out"] / "metrics.csv", "\n".join(lines) + "\n")
 
 

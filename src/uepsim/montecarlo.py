@@ -15,6 +15,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -72,10 +73,6 @@ class GainTable:
                 _nearest(self.quality_levels, quality_level),
             ]
         )
-
-    def rate_mb_per_tick(self, kind, ebno_db, text_fraction, quality_level) -> float:
-        gain = self.gain(kind, ebno_db, text_fraction, quality_level)
-        return BASE_RATE_MB_PER_TICK * (1.0 + gain)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -315,79 +312,90 @@ class SimConfig:
 
 def sample_workload(
     rng: np.random.Generator,
-    job_id: int = 0,
-    arrival_time: float = 0.0,
-    table: GainTable | None = None,
-    ebno_db: float = SimConfig.ebno_db,
-    quality_level: int = SimConfig.quality_level,
+    job_id: int,
+    arrival_time: float,
+    table: GainTable,
+    ebno_db: float,
+    quality_level: int,
 ) -> sched.WorkloadJob:
-    """Draw one workload: size ~ Gamma(2, 1.5) MB, text fraction ~ Beta(0.6, 1.8)."""
+    """Draw one workload: size ~ Gamma(2, 1.5) MB, text fraction ~ Beta(0.6, 1.8).
+
+    Its gain on each encoder kind is the mean gain of its table cell (the
+    WFTM weight w_ij and the SMAB Gain_Perf_ij mean), and its processing
+    time there is size / (base rate * (1 + gain)).
+    """
     size = float(rng.gamma(2.0, 1.5))
     size = max(size, 1e-6)
     frac = float(rng.beta(0.6, 1.8))
-    if table is not None:
-        rate_l = table.rate_mb_per_tick(fec.LDPC, ebno_db, frac, quality_level)
-        rate_p = table.rate_mb_per_tick(fec.POLAR, ebno_db, frac, quality_level)
-    else:
-        rate_l = rate_p = BASE_RATE_MB_PER_TICK
+    gain_l = table.gain(fec.LDPC, ebno_db, frac, quality_level)
+    gain_p = table.gain(fec.POLAR, ebno_db, frac, quality_level)
     return sched.WorkloadJob(
         job_id=job_id,
         size_mb=size,
         text_fraction=frac,
         quality_level=quality_level,
         arrival_time=arrival_time,
-        proc_time_ldpc=size / rate_l,
-        proc_time_polar=size / rate_p,
+        proc_time_ldpc=size / (BASE_RATE_MB_PER_TICK * (1.0 + gain_l)),
+        proc_time_polar=size / (BASE_RATE_MB_PER_TICK * (1.0 + gain_p)),
+        gain_ldpc=gain_l,
+        gain_polar=gain_p,
     )
 
 
-def _job_gains(job: sched.WorkloadJob, table: GainTable, ebno_db: float):
-    """Mean gain of this job on each encoder kind (its table cell); these are
-    the WFTM weights w_ij and the SMAB Gain_Perf_ij means."""
-    return {
-        kind: table.gain(kind, ebno_db, job.text_fraction, job.quality_level)
-        for kind in (fec.LDPC, fec.POLAR)
-    }
+def sample_arrivals(cfg: SimConfig, table: GainTable) -> list:
+    """The arrival stream of ``cfg``: each tick before the horizon draws at
+    most one Bernoulli(injection_prob) arrival from substream (master_seed, 0).
 
-
-def run_simulation(cfg: SimConfig, table: GainTable):
-    """Event-driven FIFO simulation; returns (SchedMetrics, trace).
-
-    Each tick before the horizon draws at most one Bernoulli(injection_prob)
-    arrival, which the configured algorithm assigns at once. A node serves
-    its jobs FIFO without preemption, so a job starts at the later of its
-    arrival and the node's previous finish, and every assigned job runs to
-    completion. Before each assignment a node reports its backlog and its
-    count of jobs finishing after the arrival. Arrival and algorithm
-    randomness use separate substreams so arrival sequences pair across
-    node configurations with the same seed. The trace is in arrival order.
+    Only the seed, injection probability, horizon, Eb/No and quality level
+    shape it, so one stream serves every algorithm and node configuration.
     """
     lo, hi = min(table.ebno_grid), max(table.ebno_grid)
     if not lo <= cfg.ebno_db <= hi:
         raise ValueError(f"ebno_db {cfg.ebno_db} lies outside the gain table grid [{lo}, {hi}]")
+    if cfg.quality_level not in table.quality_levels:
+        raise ValueError(
+            f"quality_level {cfg.quality_level} is not a gain table level {table.quality_levels}"
+        )
+    rng = substream(cfg.master_seed, 0)
+    jobs = []
+    for tick in range(cfg.horizon_ticks):
+        if rng.random() < cfg.injection_prob:
+            jobs.append(
+                sample_workload(rng, len(jobs), float(tick), table, cfg.ebno_db, cfg.quality_level)
+            )
+    return jobs
+
+
+def run_simulation(cfg: SimConfig, jobs):
+    """Event-driven FIFO simulation of the arrival stream ``jobs`` (from
+    `sample_arrivals`); returns (SchedMetrics, trace).
+
+    The configured algorithm assigns each job at its arrival. A node serves
+    its jobs FIFO without preemption, so a job starts at the later of its
+    arrival and the node's previous finish, and every assigned job runs to
+    completion. Before each assignment a node reports its backlog and its
+    count of jobs finishing after the arrival. The algorithm draws from
+    substream (master_seed, 1), apart from the arrivals' (master_seed, 0).
+    The trace is in arrival order.
+    """
     nodes = [sched.EncoderNode(i, sched.LDPC) for i in range(cfg.num_ldpc)] + [
         sched.EncoderNode(cfg.num_ldpc + j, sched.POLAR) for j in range(cfg.num_polar)
     ]
     # per node, the finish times of its unfinished jobs in FIFO order; the
     # last one is when the node next falls idle
     unfinished = [deque() for _ in nodes]
-    arr_rng = substream(cfg.master_seed, 0)
     algo_rng = substream(cfg.master_seed, 1)
     state = sched.SmabState(len(nodes))
 
     trace = []
-    for tick in range(cfg.horizon_ticks):
-        if arr_rng.random() >= cfg.injection_prob:
-            continue
-        t = float(tick)
-        job = sample_workload(arr_rng, len(trace), t, table, cfg.ebno_db, cfg.quality_level)
+    for job in jobs:
+        t = job.arrival_time
         for node, finishes in zip(nodes, unfinished):
             while finishes and finishes[0] <= t:
                 finishes.popleft()
             node.occupancy = len(finishes)
             node.remaining_work = finishes[-1] - t if finishes else 0.0
-        gains = _job_gains(job, table, cfg.ebno_db)
-        nid = _assign(cfg.algorithm, job, nodes, gains, state, algo_rng)
+        nid = _assign(cfg.algorithm, job, nodes, state, algo_rng)
         node, finishes = nodes[nid], unfinished[nid]
         proc = job.proc_time_on(node.kind)
         start = finishes[-1] if finishes else t
@@ -407,18 +415,18 @@ def run_simulation(cfg: SimConfig, table: GainTable):
     return sched.compute_metrics(trace), trace
 
 
-def _assign(algorithm, job, nodes, gains, state, rng) -> int:
+def _assign(algorithm, job, nodes, state, rng) -> int:
     if algorithm == "wftm":
         # a zero measured gain zeroes the weighted objective; the tiny floor
         # lets such ties resolve toward the emptier node instead of node 0
-        weights = [max(gains[n.kind], 1e-9) for n in nodes]
+        weights = [max(job.gain_on(n.kind), 1e-9) for n in nodes]
         return sched.wftm_assign(job, nodes, weights)
     if algorithm == "random":
         return sched.random_assign(job, nodes, rng)
     if algorithm == "minqueue":
         return sched.minqueue_assign(job, nodes)
     nid = sched.smab_assign(job, state, nodes)
-    reward = sched.smab_reward(gains[nodes[nid].kind], nodes[nid].occupancy, state, rng)
+    reward = sched.smab_reward(job.gain_on(nodes[nid].kind), nodes[nid].occupancy, state, rng)
     sched.smab_update(state, nid, reward)
     return nid
 
@@ -437,7 +445,8 @@ def run_scenario_comparison(
     scenarios: dict = None,
 ):
     """Performance of each encoder scenario across the grid, with the gain
-    over `REFERENCE_SCENARIO` paired per seed.
+    over `REFERENCE_SCENARIO` paired per seed: every scenario of a cell
+    serves the same arrival stream, drawn once.
 
     Returns a list of row dicts (scenario, ebno_db, injection_prob, seed,
     perf, gain_pct_vs_4L). Performance is the reciprocal of the time to
@@ -448,35 +457,29 @@ def run_scenario_comparison(
         raise ValueError(f"reference scenario {REFERENCE_SCENARIO!r} not among scenarios")
 
     perfs = {}
-    for name, (m, n) in scenarios.items():
-        for ebno in ebno_grid:
-            for inj in injection_grid:
-                for seed in seeds:
-                    cfg = replace(
-                        base_cfg, num_ldpc=m, num_polar=n, ebno_db=ebno,
-                        injection_prob=inj, master_seed=seed,
-                    )
-                    metrics, _ = run_simulation(cfg, table)
-                    perf = 1.0 / metrics.makespan if metrics.makespan > 0 else math.nan
-                    perfs[(name, ebno, inj, seed)] = perf
+    for ebno, inj, seed in product(ebno_grid, injection_grid, seeds):
+        cfg = replace(base_cfg, ebno_db=ebno, injection_prob=inj, master_seed=seed)
+        jobs = sample_arrivals(cfg, table)  # one stream for every scenario
+        for name, (m, n) in scenarios.items():
+            metrics = run_simulation(replace(cfg, num_ldpc=m, num_polar=n), jobs)[0]
+            perf = 1.0 / metrics.makespan if metrics.makespan > 0 else math.nan
+            perfs[(name, ebno, inj, seed)] = perf
+        del jobs  # one stream alive at a time
 
     rows = []
-    for name in scenarios:
-        for ebno in ebno_grid:
-            for inj in injection_grid:
-                for seed in seeds:
-                    perf = perfs[(name, ebno, inj, seed)]
-                    ref = perfs[(REFERENCE_SCENARIO, ebno, inj, seed)]
-                    rows.append(
-                        {
-                            "scenario": name,
-                            "ebno_db": ebno,
-                            "injection_prob": inj,
-                            "seed": seed,
-                            "perf": perf,
-                            "gain_pct_vs_4L": 100.0 * (perf - ref) / ref,
-                        }
-                    )
+    for name, ebno, inj, seed in product(scenarios, ebno_grid, injection_grid, seeds):
+        perf = perfs[(name, ebno, inj, seed)]
+        ref = perfs[(REFERENCE_SCENARIO, ebno, inj, seed)]
+        rows.append(
+            {
+                "scenario": name,
+                "ebno_db": ebno,
+                "injection_prob": inj,
+                "seed": seed,
+                "perf": perf,
+                "gain_pct_vs_4L": 100.0 * (perf - ref) / ref,
+            }
+        )
     return rows
 
 

@@ -19,7 +19,6 @@ All ties break toward the lowest node id so runs are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +41,8 @@ class WorkloadJob:
     arrival_time: float
     proc_time_ldpc: float  # tl_j
     proc_time_polar: float  # tp_j
+    gain_ldpc: float  # mean gain of the job's table cell on LDPC: w_ij, Gain_Perf_ij
+    gain_polar: float  # the same on polar
 
     def __post_init__(self):
         if self.size_mb <= 0:
@@ -53,6 +54,9 @@ class WorkloadJob:
 
     def proc_time_on(self, kind: str) -> float:
         return self.proc_time_ldpc if kind == LDPC else self.proc_time_polar
+
+    def gain_on(self, kind: str) -> float:
+        return self.gain_ldpc if kind == LDPC else self.gain_polar
 
 
 @dataclass
@@ -169,17 +173,6 @@ class SchedMetrics:
     avg_flow: float
     makespan: float
     n_jobs: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "avg_throughput": self.avg_throughput,
-                "avg_wait": self.avg_wait,
-                "avg_flow": self.avg_flow,
-                "makespan": self.makespan,
-                "n_jobs": self.n_jobs,
-            }
-        )
 
 
 def compute_metrics(trace) -> SchedMetrics:

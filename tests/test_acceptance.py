@@ -178,7 +178,7 @@ def _seed_mean_metrics(table, algorithm, injection, seeds, m=4, n=2, horizon=160
             horizon_ticks=horizon, quality_level=SCHED_QUALITY, master_seed=seed,
             algorithm=algorithm,
         )
-        metrics, _ = mc.run_simulation(cfg, table)
+        metrics, _ = mc.run_simulation(cfg, mc.sample_arrivals(cfg, table))
         out["wait"].append(metrics.avg_wait)
         out["flow"].append(metrics.avg_flow)
         out["makespan"].append(metrics.makespan)

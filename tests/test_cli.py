@@ -147,6 +147,14 @@ def test_schedule_ebno_outside_table_grid_fails(tmp_path, capsys):
     assert "ebno_db 5.0 lies outside the gain table grid [1.0, 2.0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["schedule", "fullsystem"])
+def test_quality_level_outside_table_fails(tmp_path, capsys, command):
+    config = {"schedule": SMALL_SCHEDULE, "fullsystem": SMALL_FULLSYSTEM}[command]
+    rc, _ = run(tmp_path, command, {**config, "quality_level": 7}, "badq")
+    assert rc == 1
+    assert "quality_level 7 is not a gain table level (0, 1)" in capsys.readouterr().err
+
+
 def test_transmit_retransmission_cap_exits_nonzero(tmp_path, capsys, monkeypatch):
     def capped(*args, **kwargs):
         raise RuntimeError("retransmission cap exceeded; channel unusably bad")

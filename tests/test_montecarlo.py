@@ -19,18 +19,22 @@ from conftest import DEFAULT_TABLE_PATH, REPO
 # -- workload sampling -------------------------------------------------------
 
 
-def test_workload_size_mean_matches_gamma():
+def test_workload_size_mean_matches_gamma(gain_table):
     rng = substream(1, 0)
-    sizes = np.array([mc.sample_workload(rng, i).size_mb for i in range(50_000)])
+    sizes = np.array(
+        [mc.sample_workload(rng, i, 0.0, gain_table, 2.0, 0).size_mb for i in range(50_000)]
+    )
     # Gamma(2, 1.5): mean 3, var 4.5; check within 3 sigma of the sample mean
     tol = 3 * np.sqrt(4.5 / len(sizes))
     assert abs(sizes.mean() - 3.0) <= tol
     assert (sizes > 0).all()
 
 
-def test_workload_ratio_mean_matches_beta():
+def test_workload_ratio_mean_matches_beta(gain_table):
     rng = substream(2, 0)
-    fracs = np.array([mc.sample_workload(rng, i).text_fraction for i in range(50_000)])
+    fracs = np.array(
+        [mc.sample_workload(rng, i, 0.0, gain_table, 2.0, 0).text_fraction for i in range(50_000)]
+    )
     var = 0.6 * 1.8 / (2.4**2 * 3.4)
     tol = 3 * np.sqrt(var / len(fracs))
     assert abs(fracs.mean() - 0.25) <= tol
@@ -39,15 +43,11 @@ def test_workload_ratio_mean_matches_beta():
 
 def test_processing_time_scales_linearly_with_size(gain_table):
     rng = substream(3, 0)
-    j = mc.sample_workload(rng, 0, table=gain_table, ebno_db=1.5)
-    rate_l = j.size_mb / j.proc_time_ldpc
-    rate_p = j.size_mb / j.proc_time_polar
-    assert rate_l == pytest.approx(
-        gain_table.rate_mb_per_tick(fec.LDPC, 1.5, j.text_fraction, j.quality_level)
-    )
-    assert rate_p == pytest.approx(
-        gain_table.rate_mb_per_tick(fec.POLAR, 1.5, j.text_fraction, j.quality_level)
-    )
+    j = mc.sample_workload(rng, 0, 0.0, gain_table, 1.5, 1)
+    for kind, proc_time in ((fec.LDPC, j.proc_time_ldpc), (fec.POLAR, j.proc_time_polar)):
+        gain = j.gain_on(kind)
+        assert gain == gain_table.gain(kind, 1.5, j.text_fraction, j.quality_level)
+        assert j.size_mb / proc_time == pytest.approx(mc.BASE_RATE_MB_PER_TICK * (1.0 + gain))
 
 
 # -- gain table --------------------------------------------------------------
@@ -156,16 +156,21 @@ def test_build_script_forwards_only_given_flags(monkeypatch, tmp_path):
 # -- simulation engine -------------------------------------------------------
 
 
+def simulate(cfg, table):
+    """Serve the arrival stream of ``cfg`` under ``cfg``."""
+    return mc.run_simulation(cfg, mc.sample_arrivals(cfg, table))
+
+
 def test_zero_injection_produces_no_jobs(gain_table):
     cfg = mc.SimConfig(injection_prob=0.0, horizon_ticks=100, master_seed=1)
-    metrics, trace = mc.run_simulation(cfg, gain_table)
+    metrics, trace = simulate(cfg, gain_table)
     assert metrics.n_jobs == 0 and not trace
 
 
 def test_simulation_deterministic(gain_table):
     cfg = mc.SimConfig(injection_prob=0.6, horizon_ticks=300, master_seed=4)
-    a, ta = mc.run_simulation(cfg, gain_table)
-    b, tb = mc.run_simulation(cfg, gain_table)
+    a, ta = simulate(cfg, gain_table)
+    b, tb = simulate(cfg, gain_table)
     assert a == b
     assert [(j.job_id, j.node_id, j.finish) for j in ta] == [
         (j.job_id, j.node_id, j.finish) for j in tb
@@ -177,7 +182,7 @@ def test_every_arrival_completes_exactly_once(gain_table):
         cfg = mc.SimConfig(
             injection_prob=0.8, horizon_ticks=300, master_seed=5, algorithm=algo
         )
-        metrics, trace = mc.run_simulation(cfg, gain_table)
+        metrics, trace = simulate(cfg, gain_table)
         ids = [j.job_id for j in trace]
         assert len(ids) == len(set(ids)) == metrics.n_jobs
         assert sorted(ids) == list(range(len(ids)))
@@ -185,7 +190,7 @@ def test_every_arrival_completes_exactly_once(gain_table):
 
 def test_fifo_start_times_non_decreasing_per_node(gain_table):
     cfg = mc.SimConfig(injection_prob=0.9, horizon_ticks=300, master_seed=6)
-    _, trace = mc.run_simulation(cfg, gain_table)
+    _, trace = simulate(cfg, gain_table)
     by_node = {}
     for j in sorted(trace, key=lambda j: j.arrival):
         by_node.setdefault(j.node_id, []).append(j.start)
@@ -195,18 +200,19 @@ def test_fifo_start_times_non_decreasing_per_node(gain_table):
 
 def test_low_injection_keeps_waits_near_zero(gain_table):
     cfg = mc.SimConfig(injection_prob=0.02, horizon_ticks=2000, master_seed=7)
-    metrics, _ = mc.run_simulation(cfg, gain_table)
+    metrics, _ = simulate(cfg, gain_table)
     assert metrics.n_jobs > 10
     assert metrics.avg_wait < 1.0
 
 
 def test_arrivals_pair_across_node_configurations(gain_table):
     base = mc.SimConfig(injection_prob=0.5, horizon_ticks=200, master_seed=8)
-    _, t4 = mc.run_simulation(base, gain_table)
-    _, t6 = mc.run_simulation(replace(base, num_ldpc=3, num_polar=2), gain_table)
-    a = sorted((j.job_id, j.arrival, j.size_mb) for j in t4)
-    b = sorted((j.job_id, j.arrival, j.size_mb) for j in t6)
-    assert a == b
+    jobs = mc.sample_arrivals(base, gain_table)
+    assert jobs
+    for algo in mc.ALGORITHMS:
+        for m, n in [(4, 2), *mc.SCENARIOS.values()]:
+            cfg = replace(base, num_ldpc=m, num_polar=n, algorithm=algo)
+            assert mc.sample_arrivals(cfg, gain_table) == jobs
 
 
 def test_adding_a_node_does_not_increase_makespan_minqueue(gain_table):
@@ -214,8 +220,8 @@ def test_adding_a_node_does_not_increase_makespan_minqueue(gain_table):
         base = mc.SimConfig(
             injection_prob=0.8, horizon_ticks=400, master_seed=seed, algorithm="minqueue"
         )
-        m_small, _ = mc.run_simulation(base, gain_table)
-        m_big, _ = mc.run_simulation(replace(base, num_polar=3), gain_table)
+        m_small, _ = simulate(base, gain_table)
+        m_big, _ = simulate(replace(base, num_polar=3), gain_table)
         assert m_big.makespan <= m_small.makespan + 1e-9
 
 
@@ -223,7 +229,7 @@ def test_smab_pulls_match_assignments(gain_table):
     cfg = mc.SimConfig(
         injection_prob=0.7, horizon_ticks=300, master_seed=9, algorithm="smab"
     )
-    metrics, trace = mc.run_simulation(cfg, gain_table)
+    metrics, trace = simulate(cfg, gain_table)
     assert metrics.n_jobs == len(trace)
 
 
@@ -234,7 +240,7 @@ def scripted_run(monkeypatch, gain_table, proc_times):
 
     def scripted_job(rng, job_id, arrival_time, *args):
         p = proc_times[job_id]
-        return sched.WorkloadJob(job_id, 1.0, 0.2, 0, arrival_time, p, p)
+        return sched.WorkloadJob(job_id, 1.0, 0.2, 0, arrival_time, p, p, 0.0, 0.0)
 
     assign = sched.minqueue_assign
     seen = []
@@ -247,7 +253,7 @@ def scripted_run(monkeypatch, gain_table, proc_times):
     monkeypatch.setattr(sched, "minqueue_assign", observed_assign)
     cfg = mc.SimConfig(num_ldpc=1, num_polar=0, injection_prob=1.0,
                        horizon_ticks=len(proc_times), algorithm="minqueue")
-    _, trace = mc.run_simulation(cfg, gain_table)
+    _, trace = simulate(cfg, gain_table)
     return trace, seen
 
 
@@ -274,7 +280,9 @@ def test_occupancy_counts_in_service_job(monkeypatch, gain_table):
 
 
 # SHA-256 of metrics.csv from the tick-stepped engine that the event-driven
-# one replaced: the two agree byte for byte on these outputs
+# one replaced: the two agree byte for byte on these outputs; and of
+# scenario_gains.csv from the scenario study that drew a fresh arrival stream
+# for every scenario instead of sharing one
 SMALL_STUDY = {
     "algorithms": list(mc.ALGORITHMS),
     "injection_probs": [0.3, 0.9],
@@ -285,20 +293,35 @@ SMALL_STUDY = {
     "seeds": [0, 1],
     "gain_table": str(DEFAULT_TABLE_PATH),
 }
+SMALL_SCENARIO_STUDY = {
+    "ebno_grid": [1.2, 2.0],
+    "injection_probs": [0.3, 0.9],
+    "horizon_ticks": 400,
+    "seeds": [0, 1],
+    "gain_table": str(DEFAULT_TABLE_PATH),
+}
 
 
 @pytest.mark.parametrize(
-    "num_ldpc,digest",
-    [
-        (4, "09ba40642f956e08001c9225fbc5087b34b7134391fd09731a6a915c372f48a8"),
-        (2, "8ba4d81bdc2d5956493fb4bd70239c4a96749b4b7ef2c34fee56407d209f8cc4"),
+    "command,config,artifact,digest",
+    [  # the schedule cases keep their num_ldpc-digest ids
+        pytest.param("schedule", {**SMALL_STUDY, "num_ldpc": n}, "metrics.csv", digest,
+                     id=f"{n}-{digest}")
+        for n, digest in (
+            (4, "09ba40642f956e08001c9225fbc5087b34b7134391fd09731a6a915c372f48a8"),
+            (2, "8ba4d81bdc2d5956493fb4bd70239c4a96749b4b7ef2c34fee56407d209f8cc4"),
+        )
+    ] + [
+        pytest.param("fullsystem", SMALL_SCENARIO_STUDY, "scenario_gains.csv",
+                     "d6703071b9a497c164ca1a3c045cbaacfbe4148fa48dba7fb449eb19c8591fd1",
+                     id="fullsystem"),
     ],
 )
-def test_schedule_metrics_digest_pinned(tmp_path, num_ldpc, digest):
+def test_schedule_metrics_digest_pinned(tmp_path, command, config, artifact, digest):
     cfg_path = tmp_path / "study.json"
-    cfg_path.write_text(json.dumps({**SMALL_STUDY, "num_ldpc": num_ldpc}))
-    assert cli.main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
 def test_config_validation():

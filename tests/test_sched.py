@@ -18,6 +18,8 @@ def job(tl=3.0, tp=5.0, jid=0, size=1.0, arrival=0.0):
         arrival_time=arrival,
         proc_time_ldpc=tl,
         proc_time_polar=tp,
+        gain_ldpc=0.5,
+        gain_polar=0.2,
     )
 
 
@@ -220,7 +222,7 @@ def test_job_validation():
     with pytest.raises(ValueError):
         job(tl=0.0)
     with pytest.raises(ValueError):
-        sched.WorkloadJob(0, -1.0, 0.2, 1, 0.0, 1.0, 1.0)
+        sched.WorkloadJob(0, -1.0, 0.2, 1, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_smab_state_equality_is_identity():
